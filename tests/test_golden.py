@@ -1,0 +1,98 @@
+"""Golden SHA-256 digests of seeded artifacts.
+
+Output identity is the contract for every refactor of the sampling,
+counting and recovery code: the same seeds must give the same bytes. A
+digest here changes only when an output format or the RNG stream is
+changed on purpose, and such a change must update the digest in the same
+commit and say why.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from tuplebn import ExperimentConfig, random_dag, run_experiment, sample
+from tuplebn.cli import main
+
+CLI_DIGESTS = {
+    "net.json": "fd56e48f5661ddaea3b945bee9c38a1308fb8db1af34a3627582ed0d1c6f3c6b",
+    "samples.csv": "dd5d0160fee9d31cd6c824ccdf96af807464619df4a0bc0f9e362639c8616266",
+    "freq.json": "0b3eb833db15d09c60ef03f29783398c8e94fa850acf4443971eb93eeedf7923",
+    "recovered.json": "6a0305109ea7f83eccfdb9cefce16e8175d1b9510e234462a055b35a22c981cd",
+    "trace.json": "c4544f566df5d2fac07e152b6fe36217293bde283367cfb915f60cae96e7c0de",
+}
+EXPERIMENT_DIGESTS = {
+    "trials.csv": "dd6b67cac5a165654055b5fcc5cc1f39e8d75b27fcda4bd4111426b3d9d1847f",
+    "summary.json": "91a1a6d0113879628ddd7c6dccafff0a8449657549d3d917eeb3fe22b6934c63",
+}
+# 3 * 65536 + 4321 rows: more than three 65536-row sampling chunks plus a
+# partial one, so a chunked draw must continue the RNG stream exactly.
+CHUNKED_L = 200_929
+CHUNKED_ROWS_DIGEST = "727523623d43e7aa8b690e1ce2d97c6bb21267b564894f4f3ab1b2d968897f01"
+# one variable above 256 values, so sample storage needs more than a byte
+WIDE_CARDS = (3, 2, 300, 4)
+WIDE_ROWS_DIGEST = "62f33843e2d6789677a873a75edfc8db658bef88788685d15ed8524de7981792"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def rows_digest(samples) -> str:
+    return sha256(np.ascontiguousarray(samples.rows, dtype=np.int64).tobytes())
+
+
+@pytest.fixture(scope="module")
+def cli_artifacts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_cli")
+    p = {name: str(out / name) for name in CLI_DIGESTS}
+    steps = [
+        ["generate", "--n", "6", "--delta", "1", "--cards", "2,3,2,4,2,3", "--seed", "11",
+         "--output", p["net.json"]],
+        ["sample", "--dag", p["net.json"], "--l", "20000", "--seed", "12", "--output", p["samples.csv"]],
+        ["estimate", "--samples", p["samples.csv"], "--k", "3", "--output", p["freq.json"]],
+        ["recover", "--mode", "empirical", "--samples", p["samples.csv"], "--delta", "1",
+         "--epsilon", "0.003", "--trace", p["trace.json"], "--output", p["recovered.json"]],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+    return {name: (out / name).read_bytes() for name in CLI_DIGESTS}
+
+
+@pytest.fixture(scope="module")
+def experiment_artifacts(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden_experiment")
+    with pytest.MonkeyPatch.context() as mp:
+        # a relative output_dir, because summary.json records it
+        mp.chdir(root)
+        config = ExperimentConfig.from_dict({
+            "n": 5, "delta": 1, "d": 2, "sample_sizes": [2000, 20000], "epsilon": 0.004,
+            "delta_risk": 0.05, "trials": 2, "seed": 7, "output_dir": "out",
+        })
+        run_experiment(config)
+    return {name: (root / "out" / name).read_bytes() for name in EXPERIMENT_DIGESTS}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
+def test_cli_artifact_digest(cli_artifacts, name):
+    assert sha256(cli_artifacts[name]) == CLI_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_DIGESTS))
+def test_experiment_artifact_digest(experiment_artifacts, name):
+    assert sha256(experiment_artifacts[name]) == EXPERIMENT_DIGESTS[name]
+
+
+def test_chunked_sample_digest():
+    dag = random_dag(5, 2, (2, 3, 2, 4, 2), seed=21)
+    s = sample(dag, CHUNKED_L, seed=22)
+    assert s.l == CHUNKED_L
+    assert rows_digest(s) == CHUNKED_ROWS_DIGEST
+
+
+def test_wide_card_sample_digest():
+    dag = random_dag(len(WIDE_CARDS), 2, WIDE_CARDS, seed=31, floor=0.001)
+    s = sample(dag, 3000, seed=32)
+    assert s.rows[:, 2].max() > 255
+    assert rows_digest(s) == WIDE_ROWS_DIGEST
