@@ -17,22 +17,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .model import CylinderKey, DiscreteDag, mixed_radix_strides, require_valid
 from .oracle import TupleSizeError, _ProviderBase, _check_positions, _disjoint_sorted
 
+# Rows drawn per generator call in ``sample``. Consecutive draws continue
+# one stream, so the rows do not depend on this value; it bounds the
+# temporaries of a draw independently of l.
+_SAMPLE_CHUNK = 65536
+
 
 class SampleMatrix:
-    """l observed records over n ordered discrete variables."""
+    """l observed records over n ordered discrete variables.
+
+    ``rows`` is a read-only (l, n) array in column-major order, so each
+    variable's column is contiguous, with the smallest unsigned dtype that
+    holds the largest value of every variable.
+    """
 
     def __init__(self, cards, rows):
         self.cards = tuple(int(c) for c in cards)
-        arr = np.ascontiguousarray(np.asarray(rows, dtype=np.int64))
+        if any(c < 1 for c in self.cards):
+            raise ValueError(f"cardinalities must be >= 1, got {self.cards}")
+        arr = np.asarray(rows)
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"sample values must be integers, got dtype {arr.dtype}")
         if arr.ndim != 2 or arr.shape[1] != len(self.cards):
             raise ValueError(f"rows must be (l, {len(self.cards)}), got {arr.shape}")
-        limits = np.asarray(self.cards, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or np.any(arr >= limits)):
+        # checked before narrowing, where an out-of-range value could wrap into range
+        if arr.size and (arr.min() < 0 or np.any(arr >= np.asarray(self.cards))):
             raise ValueError("sample values out of range for their cardinalities")
+        arr = np.asfortranarray(arr, dtype=np.min_scalar_type(max(self.cards, default=1) - 1))
         arr.flags.writeable = False
         self.rows = arr
 
@@ -51,6 +65,32 @@ class SampleMatrix:
 
     def __repr__(self):
         return f"SampleMatrix(l={self.l}, n={self.n})"
+
+
+def _tuple_codes(rows, cols, dims) -> np.ndarray:
+    """Mixed-radix code of each row's values at the nonempty ``cols``
+    (0-based) over ``dims``, most significant first.
+
+    Accumulates by Horner's rule in intp: a narrow column multiplied by a
+    stride would wrap.
+    """
+    code = rows[:, cols[0]].astype(np.intp)
+    for c, d in zip(cols[1:], dims[1:]):
+        code *= d
+        code += rows[:, c]
+    return code
+
+
+def _inverse_cdf(out, u, cfg, cum_t) -> None:
+    """Add to ``out`` the inverse-CDF value of each uniform in ``u``: the
+    number of cumulative entries, all but the last, that are <= u.
+
+    ``cum_t`` is the (d, configs) transposed cumulative CPT and ``cfg`` each
+    row's parent configuration. Leaving out the last entry caps the value
+    at d-1 even when a CPT row sums slightly below 1.
+    """
+    for thresholds in cum_t[:-1]:
+        out += thresholds[cfg] <= u
 
 
 @dataclass
@@ -97,14 +137,17 @@ def sample(dag: DiscreteDag, l: int, seed) -> SampleMatrix:
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     rng = np.random.default_rng(seed)
-    uniforms = rng.random((l, dag.n))
-    rows = np.zeros((l, dag.n), dtype=np.int64)
-    for j in range(1, dag.n + 1):
-        ps = dag.parents[j - 1]
-        pcols = np.asarray([p - 1 for p in ps], dtype=np.int64)
-        pstrides = mixed_radix_strides(dag.parent_cards(j))
-        cum = np.ascontiguousarray(np.cumsum(dag.cpts[j - 1], axis=1))
-        _kernels.sample_node(uniforms[:, j - 1].copy(), rows, j - 1, pcols, pstrides, cum)
+    rows = np.zeros((l, dag.n), dtype=np.min_scalar_type(max(dag.cards) - 1), order="F")
+    nodes = [
+        ([p - 1 for p in dag.parents[j - 1]], dag.parent_cards(j), np.cumsum(dag.cpts[j - 1], axis=1).T.copy())
+        for j in range(1, dag.n + 1)
+    ]
+    for start in range(0, l, _SAMPLE_CHUNK):
+        block = rows[start : start + _SAMPLE_CHUNK]
+        uniforms = rng.random((block.shape[0], dag.n)).T.copy()
+        for j, (pcols, pdims, cum_t) in enumerate(nodes):
+            cfg = _tuple_codes(block, pcols, pdims) if pcols else 0
+            _inverse_cdf(block[:, j], uniforms[j], cfg, cum_t)
     return SampleMatrix(dag.cards, rows)
 
 
@@ -114,10 +157,9 @@ def tuple_frequencies(samples: SampleMatrix, k: int) -> FrequencyTable:
         raise ValueError(f"k must be in 1..{samples.n}, got {k}")
     counts: dict[CylinderKey, int] = {}
     for pos in itertools.combinations(range(1, samples.n + 1), k):
-        cols = np.asarray([p - 1 for p in pos], dtype=np.int64)
         dims = tuple(samples.cards[p - 1] for p in pos)
-        strides = mixed_radix_strides(dims)
-        dense = _kernels.count_tuples(samples.rows, cols, strides, math.prod(dims))
+        codes = _tuple_codes(samples.rows, [p - 1 for p in pos], dims)
+        dense = np.bincount(codes, minlength=math.prod(dims))
         for code in np.flatnonzero(dense):
             values = tuple(int(v) for v in np.unravel_index(int(code), dims))
             counts[CylinderKey(pos, values)] = int(dense[code])
@@ -217,17 +259,17 @@ def load_samples(path, cards=None) -> SampleMatrix:
     """Read the CSV form; cardinalities are inferred as max+1 per column
     unless given explicitly."""
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
+        header = next(csv.reader([f.readline()]), [])
         if not header or not all(h.strip().startswith("x") for h in header):
             raise ValueError(f"malformed samples header: {header}")
-        rows = [[int(v) for v in row] for row in reader if row]
-    if rows:
-        arr = np.asarray(rows, dtype=np.int64)
-    else:
-        arr = np.zeros((0, len(header)), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != len(header):
-        raise ValueError("malformed samples file")
+        body = f.tell()
+        if any(line.strip() for line in iter(f.readline, "")):
+            f.seek(body)
+            arr = np.loadtxt(f, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+        else:  # loadtxt only warns on a file without records
+            arr = np.zeros((0, len(header)), dtype=np.int64)
+    if arr.shape[1] != len(header):
+        raise ValueError(f"malformed samples file: {arr.shape[1]} columns under a {len(header)}-column header")
     if cards is None:
         if arr.shape[0] == 0:
             raise ValueError("cannot infer cardinalities from an empty sample file")
@@ -244,11 +286,35 @@ def frequencies_to_dict(freq: FrequencyTable) -> dict:
 
 
 def frequencies_from_dict(data: dict) -> FrequencyTable:
-    counts = {
-        CylinderKey(tuple(e["positions"]), tuple(e["values"])): int(e["count"])
-        for e in data["counts"]
-    }
-    return FrequencyTable(int(data["k"]), int(data["l"]), tuple(int(c) for c in data["cards"]), counts)
+    """Inverse of frequencies_to_dict. Raises ValueError naming the first
+    entry a count table over ``cards`` cannot hold, or the first position
+    set whose counts do not total ``l``."""
+    k, l = int(data["k"]), int(data["l"])
+    cards = tuple(int(c) for c in data["cards"])
+    n = len(cards)
+    if not 1 <= k <= n:
+        raise ValueError(f"frequency table k={k} outside 1..{n}")
+    totals = dict.fromkeys(itertools.combinations(range(1, n + 1), k), 0)
+    counts = {}
+    for e in data["counts"]:
+        pos = tuple(int(p) for p in e["positions"])
+        values = tuple(int(v) for v in e["values"])
+        count = int(e["count"])
+        if pos not in totals:
+            raise ValueError(f"frequency entry {e}: positions must be {k} strictly increasing values in 1..{n}")
+        if len(values) != k or any(not 0 <= v < cards[p - 1] for p, v in zip(pos, values)):
+            raise ValueError(f"frequency entry {e}: values must be {k} values in range for cardinalities {cards}")
+        if count < 0:
+            raise ValueError(f"frequency entry {e}: negative count")
+        key = CylinderKey(pos, values)
+        if key in counts:
+            raise ValueError(f"frequency entry {e}: duplicate key")
+        counts[key] = count
+        totals[pos] += count
+    for pos, total in totals.items():
+        if total != l:
+            raise ValueError(f"frequency counts at positions {pos} total {total}, not l={l}")
+    return FrequencyTable(k, l, cards, counts)
 
 
 def save_frequencies(freq: FrequencyTable, path) -> None:

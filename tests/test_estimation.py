@@ -69,6 +69,23 @@ def test_sample_matrix_validates_range():
         SampleMatrix((2, 2), [[0, 2]])
     with pytest.raises(ValueError):
         SampleMatrix((2, 2), [[0, -1]])
+    with pytest.raises(ValueError):
+        SampleMatrix((0, 2), np.zeros((0, 2), dtype=np.int64))
+
+
+def test_sample_matrix_rejects_non_integer_values():
+    with pytest.raises(ValueError, match="integers"):
+        SampleMatrix((2, 2), [[0.9, 1.7]])
+    with pytest.raises(ValueError, match="integers"):
+        SampleMatrix((2, 2), np.zeros((3, 2)))
+
+
+def test_sample_matrix_range_checked_before_narrowing():
+    # 257 and 256 wrap to 1 and 0 in the uint8 storage of binary variables
+    with pytest.raises(ValueError, match="out of range"):
+        SampleMatrix((2, 2), [[0, 257]])
+    with pytest.raises(ValueError, match="out of range"):
+        SampleMatrix((2, 2), np.array([[256, 0]], dtype=np.uint16))
 
 
 def test_tuple_frequencies_tiny_case():
@@ -171,6 +188,80 @@ def test_load_samples_infers_cards(tmp_path):
     path.write_text("x1,x2\n0,2\n1,0\n")
     s = load_samples(path)
     assert s.cards == (2, 3)
+
+
+def test_load_samples_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("x1,x2\n0,1\n1\n")
+    with pytest.raises(ValueError):
+        load_samples(path)
+
+
+@pytest.mark.parametrize("value", ["1.5", "1.0", "a", "#1"])
+def test_load_samples_rejects_non_integer_values(tmp_path, value):
+    path = tmp_path / "rows.csv"
+    path.write_text(f"x1,x2\n0,1\n{value},0\n")
+    with pytest.raises(ValueError):
+        load_samples(path)
+
+
+def test_load_samples_rejects_width_other_than_header(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("x1,x2\n0,1,1\n")
+    with pytest.raises(ValueError, match="3 columns"):
+        load_samples(path)
+
+
+def test_load_samples_header_only(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("x1,x2\n\n")
+    with pytest.raises(ValueError, match="empty"):
+        load_samples(path)
+    s = load_samples(path, cards=(2, 3))
+    assert s.l == 0 and s.cards == (2, 3)
+
+
+def valid_frequency_dict():
+    return frequencies_to_dict(tuple_frequencies(SampleMatrix((2, 2, 3), [[0, 1, 2], [1, 1, 0]]), 2))
+
+
+def test_frequencies_from_dict_accepts_valid_table():
+    data = valid_frequency_dict()
+    assert frequencies_to_dict(frequencies_from_dict(data)) == data
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"positions": [1, 2], "values": [0, 3], "count": 1}, "in range"),
+        ({"positions": [1, 2], "values": [7, 0], "count": 1}, "in range"),
+        ({"positions": [1, 3], "values": [0, -1], "count": 1}, "in range"),
+        ({"positions": [1, 2], "values": [0], "count": 1}, "in range"),
+        ({"positions": [1], "values": [0], "count": 1}, "strictly increasing"),
+        ({"positions": [2, 1], "values": [0, 0], "count": 1}, "strictly increasing"),
+        ({"positions": [3, 4], "values": [0, 0], "count": 1}, "strictly increasing"),
+        ({"positions": [0, 1], "values": [0, 0], "count": 1}, "strictly increasing"),
+        ({"positions": [1, 2], "values": [0, 0], "count": -1}, "negative"),
+        ({"positions": [1, 2], "values": [0, 1], "count": 1}, "duplicate"),
+    ],
+)
+def test_frequencies_from_dict_names_bad_entry(entry, message):
+    data = valid_frequency_dict()
+    data["counts"].append(entry)
+    with pytest.raises(ValueError, match=message) as err:
+        frequencies_from_dict(data)
+    assert str(entry["positions"]) in str(err.value)
+
+
+def test_frequencies_from_dict_checks_totals():
+    data = valid_frequency_dict()
+    data["l"] = 3
+    with pytest.raises(ValueError, match=r"\(1, 2\) total 2, not l=3"):
+        frequencies_from_dict(data)
+    data = valid_frequency_dict()
+    data["counts"] = [e for e in data["counts"] if e["positions"] != [2, 3]]
+    with pytest.raises(ValueError, match=r"\(2, 3\) total 0"):
+        frequencies_from_dict(data)
 
 
 def test_frequencies_json_round_trip(tmp_path, chain_dag):

@@ -1,63 +1,14 @@
-"""The compiled and pure kernels must be interchangeable bit for bit."""
+"""The column-wise sampling and counting helpers behind sample and
+tuple_frequencies."""
+
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from tuplebn._kernels import BACKEND, HAVE_COMPILED
-from tuplebn._kernels import _pykernels
-
-if HAVE_COMPILED:
-    from tuplebn._kernels import _ckernels
-else:  # pragma: no cover - build without a C compiler
-    _ckernels = None
-
-needs_compiled = pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels unavailable")
-
-
-def random_case(rng, l, n, d):
-    rows = rng.integers(0, d, size=(l, n), dtype=np.int64)
-    return np.ascontiguousarray(rows)
-
-
-def test_backend_reported():
-    assert BACKEND in ("compiled", "python")
-    if HAVE_COMPILED:
-        assert BACKEND == "compiled"
-
-
-@needs_compiled
-def test_sample_node_twin_equality():
-    rng = np.random.default_rng(0)
-    for d_child, d_parent in [(2, 2), (3, 2), (2, 4), (5, 3)]:
-        l = 4097
-        u = rng.random(l)
-        cpt = rng.dirichlet(np.ones(d_child), size=d_parent * d_parent)
-        cum = np.ascontiguousarray(np.cumsum(cpt, axis=1))
-        parents = np.ascontiguousarray(rng.integers(0, d_parent, size=(l, 2), dtype=np.int64))
-        pcols = np.array([0, 1], dtype=np.int64)
-        pstrides = np.array([d_parent, 1], dtype=np.int64)
-
-        rows_c = np.zeros((l, 3), dtype=np.int64)
-        rows_c[:, :2] = parents
-        rows_p = rows_c.copy()
-        _ckernels.sample_node(u.copy(), rows_c, 2, pcols, pstrides, cum)
-        _pykernels.sample_node(u.copy(), rows_p, 2, pcols, pstrides, cum)
-        assert np.array_equal(rows_c, rows_p)
-        assert rows_c[:, 2].max() < d_child
-
-
-@needs_compiled
-def test_sample_node_twin_equality_no_parents():
-    rng = np.random.default_rng(1)
-    l = 999
-    u = rng.random(l)
-    cum = np.ascontiguousarray(np.cumsum(rng.dirichlet(np.ones(3), size=1), axis=1))
-    empty = np.empty(0, dtype=np.int64)
-    rows_c = np.zeros((l, 1), dtype=np.int64)
-    rows_p = np.zeros((l, 1), dtype=np.int64)
-    _ckernels.sample_node(u.copy(), rows_c, 0, empty, empty, cum)
-    _pykernels.sample_node(u.copy(), rows_p, 0, empty, empty, cum)
-    assert np.array_equal(rows_c, rows_p)
+from tuplebn import CylinderKey, SampleMatrix, estimation, sample, tuple_frequencies
+from tuplebn.estimation import _inverse_cdf
 
 
 def test_sample_node_boundary_uniform():
@@ -65,51 +16,44 @@ def test_sample_node_boundary_uniform():
     # 1 never exceeds d-1 even when the row sums slightly below 1
     cum = np.array([[0.25, 0.5, 1.0 - 1e-16]])
     u = np.array([0.0, 0.25, 0.5, 1.0 - 1e-16, 0.9999999])
-    rows = np.zeros((5, 1), dtype=np.int64)
-    _pykernels.sample_node(u.copy(), rows, 0, np.empty(0, np.int64), np.empty(0, np.int64), cum)
-    assert rows[:, 0].tolist() == [0, 1, 2, 2, 2]
-    if HAVE_COMPILED:
-        rows_c = np.zeros((5, 1), dtype=np.int64)
-        _ckernels.sample_node(u.copy(), rows_c, 0, np.empty(0, np.int64), np.empty(0, np.int64), cum)
-        assert np.array_equal(rows, rows_c)
-
-
-@needs_compiled
-def test_count_tuples_twin_equality():
-    rng = np.random.default_rng(2)
-    for l, n, d in [(1, 3, 2), (1000, 5, 3), (4096, 8, 2)]:
-        rows = random_case(rng, l, n, d)
-        cols = np.array([0, 2], dtype=np.int64)
-        strides = np.array([d, 1], dtype=np.int64)
-        a = _ckernels.count_tuples(rows, cols, strides, d * d)
-        b = _pykernels.count_tuples(rows, cols, strides, d * d)
-        assert np.array_equal(a, b)
-        assert a.sum() == l
+    out = np.zeros(5, dtype=np.uint8)
+    _inverse_cdf(out, u, 0, cum.T.copy())
+    assert out.tolist() == [0, 1, 2, 2, 2]
+    # the same rule per parent configuration
+    cum = np.array([[1.0, 1.0, 1.0], [0.25, 0.5, 1.0 - 1e-16]])
+    out = np.zeros(5, dtype=np.uint8)
+    _inverse_cdf(out, u, np.array([1, 1, 0, 1, 0]), cum.T.copy())
+    assert out.tolist() == [0, 1, 0, 2, 0]
 
 
 def test_count_tuples_matches_python_count():
     rng = np.random.default_rng(3)
-    rows = random_case(rng, 500, 4, 3)
-    cols = np.array([1, 3], dtype=np.int64)
-    strides = np.array([3, 1], dtype=np.int64)
-    counted = _pykernels.count_tuples(rows, cols, strides, 9)
+    rows = rng.integers(0, 3, size=(500, 4))
+    counted = tuple_frequencies(SampleMatrix((3,) * 4, rows), 2).dense_counts((2, 4))
+    expected = Counter((r[1], r[3]) for r in rows.tolist())
     for a in range(3):
         for b in range(3):
-            expected = int(np.sum((rows[:, 1] == a) & (rows[:, 3] == b)))
-            assert counted[3 * a + b] == expected
+            assert counted[3 * a + b] == expected[(a, b)]
 
 
-def test_pure_python_env_var_forces_fallback():
-    import os
-    import subprocess
-    import sys
+@pytest.mark.parametrize(
+    "cards, dtype",
+    [((10, 10, 10), np.uint8), ((10, 10, 10, 1000), np.uint16)],
+)
+def test_wide_cards_count_matches_unique_recount(cards, dtype):
+    # tuple codes reach 999 and 99,999: past what the storage dtype holds
+    rng = np.random.default_rng(4)
+    rows = np.column_stack([rng.integers(0, c, size=3000) for c in cards])
+    s = SampleMatrix(cards, rows)
+    assert s.rows.dtype == dtype and s.rows.flags.f_contiguous
+    freq = tuple_frequencies(s, 3)
+    for pos in itertools.combinations(range(1, len(cards) + 1), 3):
+        values, counts = np.unique(rows[:, [p - 1 for p in pos]], axis=0, return_counts=True)
+        expected = {CylinderKey(pos, tuple(v)): int(c) for v, c in zip(values.tolist(), counts)}
+        assert {key: c for key, c in freq.counts.items() if key.positions == pos} == expected
 
-    code = "import tuplebn; print(tuplebn.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, TUPLEBN_PURE_PYTHON="1"),
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "python"
+
+def test_sample_rows_do_not_depend_on_chunk(monkeypatch, chain_dag):
+    whole = sample(chain_dag, 1000, seed=4)
+    monkeypatch.setattr(estimation, "_SAMPLE_CHUNK", 7)
+    assert sample(chain_dag, 1000, seed=4) == whole
