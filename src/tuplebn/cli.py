@@ -15,6 +15,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from .estimation import (
     empirical_provider,
@@ -25,12 +27,12 @@ from .estimation import (
     tuple_frequencies,
 )
 from .model import factorized_joint, load_dag, random_dag, require_valid, save_dag
-from .oracle import EXACT_TOL, exact_provider, is_markov_relative
+from .oracle import is_markov_relative
 from .recovery import (
     ModelViolationError,
-    ProviderCiDecider,
     attach_cpts,
     empirical_ci_decider,
+    exact_ci_decider,
     recover_structure,
 )
 from .experiment import load_config, run_experiment
@@ -97,7 +99,8 @@ def cmd_estimate(args) -> int:
     samples = load_samples(args.samples, cards)
     freq = tuple_frequencies(samples, args.k)
     save_frequencies(freq, args.output)
-    print(f"counted {len(freq.counts)} realized {args.k}-tuple keys from l={samples.l} -> {args.output}")
+    realized = sum(int(np.count_nonzero(arr)) for arr in freq.counts.values())
+    print(f"counted {realized} realized {args.k}-tuple keys from l={samples.l} -> {args.output}")
     return EXIT_OK
 
 
@@ -109,8 +112,8 @@ def cmd_recover(args) -> int:
         dag = load_dag(args.dag)
         require_valid(dag)
         joint = factorized_joint(dag)
-        provider = exact_provider(joint, budget)
-        decider = ProviderCiDecider(provider, EXACT_TOL)
+        decider = exact_ci_decider(joint, args.delta)
+        provider = decider.provider
         n = dag.n
     else:
         if not args.samples:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CylinderKey, DiscreteDag, mixed_radix_strides, require_valid
-from .oracle import TupleSizeError, _ProviderBase, _check_positions, _disjoint_sorted
+from .model import DiscreteDag, require_valid
+from .oracle import _ProviderBase, _check_positions, dependence_statistic
 
 # Rows drawn per generator call in ``sample``. Consecutive draws continue
 # one stream, so the rows do not depend on this value; it bounds the
@@ -93,41 +93,41 @@ def _inverse_cdf(out, u, cfg, cum_t) -> None:
         out += thresholds[cfg] <= u
 
 
-@dataclass
+@dataclass(eq=False)
 class FrequencyTable:
-    """Sparse occurrence counts of every realized k-tuple cylinder.
+    """Occurrence counts of every k-tuple cylinder, one dense array per
+    size-k position set.
 
-    Absent keys have count zero. Lower-order frequencies are recovered by
-    summation, so a single tuple size k is stored.
+    ``counts`` maps each strictly increasing tuple of k positions (1-based)
+    to a read-only int64 array over that set's sub-space, indexed in mixed
+    radix, most significant first; unrealized cylinders hold zero.
+    Lower-order frequencies are recovered by summation, so a single tuple
+    size k is stored.
     """
 
     k: int
     l: int
     cards: tuple[int, ...]
-    counts: dict[CylinderKey, int] = field(default_factory=dict)
+    counts: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for arr in self.counts.values():
+            arr.flags.writeable = False
 
     @property
     def n(self) -> int:
         return len(self.cards)
 
-    def count(self, key: CylinderKey) -> int:
-        return self.counts.get(key, 0)
-
-    def frequency(self, key: CylinderKey) -> float:
-        return self.count(key) / self.l
-
     def dense_counts(self, positions) -> np.ndarray:
-        """Dense int64 counts over the sub-space of a size-k position set."""
+        """The stored read-only counts of a size-k position set; any other
+        positions (wrong size, unsorted or out of range) raise ValueError."""
         pos = tuple(int(p) for p in positions)
-        if len(pos) != self.k:
-            raise ValueError(f"dense_counts wants exactly {self.k} positions, got {len(pos)}")
-        dims = tuple(self.cards[p - 1] for p in pos)
-        strides = mixed_radix_strides(dims)
-        out = np.zeros(math.prod(dims), dtype=np.int64)
-        for key, c in self.counts.items():
-            if key.positions == pos:
-                out[int(np.dot(key.values, strides))] = c
-        return out
+        try:
+            return self.counts[pos]
+        except KeyError:
+            raise ValueError(
+                f"dense_counts wants {self.k} strictly increasing positions in 1..{self.n}, got {pos}"
+            ) from None
 
 
 def sample(dag: DiscreteDag, l: int, seed) -> SampleMatrix:
@@ -152,22 +152,20 @@ def sample(dag: DiscreteDag, l: int, seed) -> SampleMatrix:
 
 
 def tuple_frequencies(samples: SampleMatrix, k: int) -> FrequencyTable:
-    """Counts of every realized k-tuple cylinder, over all position sets."""
+    """Counts of every k-tuple cylinder, one array per position set."""
     if not 1 <= k <= samples.n:
         raise ValueError(f"k must be in 1..{samples.n}, got {k}")
-    counts: dict[CylinderKey, int] = {}
+    counts = {}
     for pos in itertools.combinations(range(1, samples.n + 1), k):
         dims = tuple(samples.cards[p - 1] for p in pos)
         codes = _tuple_codes(samples.rows, [p - 1 for p in pos], dims)
-        dense = np.bincount(codes, minlength=math.prod(dims))
-        for code in np.flatnonzero(dense):
-            values = tuple(int(v) for v in np.unravel_index(int(code), dims))
-            counts[CylinderKey(pos, values)] = int(dense[code])
+        counts[pos] = np.bincount(codes, minlength=math.prod(dims))
     return FrequencyTable(k, samples.l, samples.cards, counts)
 
 
 class EmpiricalMarginalProvider(_ProviderBase):
-    """Answers tuple probabilities of size <= k from stored k-tuple counts.
+    """Answers tuple probabilities of size <= k from the dense count array
+    that a FrequencyTable stores for each size-k position set.
 
     Sub-k queries are served by summing the counts of the lexicographically
     first k-superset of the requested positions; count consistency makes the
@@ -210,30 +208,6 @@ def empirical_provider(freq: FrequencyTable) -> EmpiricalMarginalProvider:
     return EmpiricalMarginalProvider(freq)
 
 
-def dependence_statistic(provider, X, L, K, skip_below: float) -> float:
-    """Max of |f(x,l,k) f(k) - f(x,k) f(l,k)| over realizations, skipping
-    contexts with f(k) <= skip_below. Works with any marginal provider."""
-    X, L, K = _disjoint_sorted(X, L, K)
-    if not X or not L:
-        return 0.0
-    union = tuple(sorted(X + L + K))
-    if len(union) > provider.max_tuple_size:
-        raise TupleSizeError(len(union), provider.max_tuple_size)
-    dims = tuple(provider.cards[p - 1] for p in union)
-    table = provider.table(union).reshape(dims)
-    ax = {p: i for i, p in enumerate(union)}
-    x_axes = tuple(ax[p] for p in X)
-    l_axes = tuple(ax[p] for p in L)
-    f_k = table.sum(axis=x_axes + l_axes, keepdims=True)
-    f_xk = table.sum(axis=l_axes, keepdims=True)
-    f_lk = table.sum(axis=x_axes, keepdims=True)
-    stat = np.abs(table * f_k - f_xk * f_lk)
-    valid = np.broadcast_to(f_k > skip_below, stat.shape)
-    if not np.any(valid):
-        return 0.0
-    return float(stat[valid].max())
-
-
 def empirical_ci_test(provider, X, L, K, epsilon: float) -> bool:
     """Deviation-threshold independence decision; True means independent.
 
@@ -252,7 +226,8 @@ def save_samples(samples: SampleMatrix, path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow([f"x{i}" for i in range(1, samples.n + 1)])
-        writer.writerows(samples.rows.tolist())
+        for start in range(0, samples.l, _SAMPLE_CHUNK):
+            writer.writerows(samples.rows[start : start + _SAMPLE_CHUNK].tolist())
 
 
 def load_samples(path, cards=None) -> SampleMatrix:
@@ -278,10 +253,13 @@ def load_samples(path, cards=None) -> SampleMatrix:
 
 
 def frequencies_to_dict(freq: FrequencyTable) -> dict:
-    entries = [
-        {"positions": list(key.positions), "values": list(key.values), "count": int(c)}
-        for key, c in sorted(freq.counts.items(), key=lambda kv: (kv[0].positions, kv[0].values))
-    ]
+    entries = []
+    for pos in sorted(freq.counts):
+        arr = freq.counts[pos]
+        codes = np.flatnonzero(arr)
+        values = np.column_stack(np.unravel_index(codes, tuple(freq.cards[p - 1] for p in pos)))
+        for vals, c in zip(values.tolist(), arr[codes].tolist()):
+            entries.append({"positions": list(pos), "values": vals, "count": c})
     return {"k": freq.k, "l": freq.l, "cards": list(freq.cards), "counts": entries}
 
 
@@ -294,24 +272,28 @@ def frequencies_from_dict(data: dict) -> FrequencyTable:
     n = len(cards)
     if not 1 <= k <= n:
         raise ValueError(f"frequency table k={k} outside 1..{n}")
-    totals = dict.fromkeys(itertools.combinations(range(1, n + 1), k), 0)
-    counts = {}
+    counts = {
+        pos: np.zeros(math.prod(cards[p - 1] for p in pos), dtype=np.int64)
+        for pos in itertools.combinations(range(1, n + 1), k)
+    }
+    seen = set()  # a duplicate of a 0-count entry leaves no trace in the arrays
     for e in data["counts"]:
         pos = tuple(int(p) for p in e["positions"])
         values = tuple(int(v) for v in e["values"])
         count = int(e["count"])
-        if pos not in totals:
+        if pos not in counts:
             raise ValueError(f"frequency entry {e}: positions must be {k} strictly increasing values in 1..{n}")
-        if len(values) != k or any(not 0 <= v < cards[p - 1] for p, v in zip(pos, values)):
+        dims = tuple(cards[p - 1] for p in pos)
+        if len(values) != k or any(not 0 <= v < d for v, d in zip(values, dims)):
             raise ValueError(f"frequency entry {e}: values must be {k} values in range for cardinalities {cards}")
         if count < 0:
             raise ValueError(f"frequency entry {e}: negative count")
-        key = CylinderKey(pos, values)
-        if key in counts:
+        if (pos, values) in seen:
             raise ValueError(f"frequency entry {e}: duplicate key")
-        counts[key] = count
-        totals[pos] += count
-    for pos, total in totals.items():
+        seen.add((pos, values))
+        counts[pos][np.ravel_multi_index(values, dims)] = count
+    for pos, arr in counts.items():
+        total = int(arr.sum())
         if total != l:
             raise ValueError(f"frequency counts at positions {pos} total {total}, not l={l}")
     return FrequencyTable(k, l, cards, counts)

@@ -44,32 +44,6 @@ def mixed_radix_strides(dims: Sequence[int]) -> np.ndarray:
     return strides
 
 
-@dataclass(frozen=True)
-class CylinderKey:
-    """Identifies the event that the variables at ``positions`` take ``values``.
-
-    Positions are 1-based and strictly increasing; values are the corresponding
-    integer outcomes.
-    """
-
-    positions: tuple[int, ...]
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if len(self.positions) != len(self.values):
-            raise ValueError("positions and values must have equal length")
-        if any(b <= a for a, b in zip(self.positions, self.positions[1:])):
-            raise ValueError(f"positions must be strictly increasing: {self.positions}")
-        if self.positions and self.positions[0] < 1:
-            raise ValueError("positions are 1-based")
-
-    @property
-    def size(self) -> int:
-        return len(self.positions)
-
-
 class DiscreteDag:
     """An ordering-consistent DAG with per-node parent sets and CPTs.
 

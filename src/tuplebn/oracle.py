@@ -90,6 +90,30 @@ def _disjoint_sorted(*groups):
     return out
 
 
+def dependence_statistic(provider, X, L, K, skip_below: float) -> float:
+    """Max of |f(x,l,k) f(k) - f(x,k) f(l,k)| over realizations, skipping
+    contexts with f(k) <= skip_below. Works with any marginal provider."""
+    X, L, K = _disjoint_sorted(X, L, K)
+    if not X or not L:
+        return 0.0
+    union = tuple(sorted(X + L + K))
+    if len(union) > provider.max_tuple_size:
+        raise TupleSizeError(len(union), provider.max_tuple_size)
+    dims = tuple(provider.cards[p - 1] for p in union)
+    table = provider.table(union).reshape(dims)
+    ax = {p: i for i, p in enumerate(union)}
+    x_axes = tuple(ax[p] for p in X)
+    l_axes = tuple(ax[p] for p in L)
+    f_k = table.sum(axis=x_axes + l_axes, keepdims=True)
+    f_xk = table.sum(axis=l_axes, keepdims=True)
+    f_lk = table.sum(axis=x_axes, keepdims=True)
+    stat = np.abs(table * f_k - f_xk * f_lk)
+    valid = np.broadcast_to(f_k > skip_below, stat.shape)
+    if not np.any(valid):
+        return 0.0
+    return float(stat[valid].max())
+
+
 def conditional_independent(joint: JointTable, X, Y, Z, tol: float = EXACT_TOL) -> bool:
     """True iff X and Y carry no information about each other once Z is fixed.
 
@@ -97,20 +121,7 @@ def conditional_independent(joint: JointTable, X, Y, Z, tol: float = EXACT_TOL) 
     whose context satisfies P(z) > tol; with empty Z this reduces to
     |P(x,y) - P(x)P(y)| <= tol.
     """
-    X, Y, Z = _disjoint_sorted(X, Y, Z)
-    if not X or not Y:
-        return True
-    union = tuple(sorted(X + Y + Z))
-    table = marginal(joint, union).array
-    ax = {p: i for i, p in enumerate(union)}
-    x_axes = tuple(ax[p] for p in X)
-    y_axes = tuple(ax[p] for p in Y)
-    p_z = table.sum(axis=x_axes + y_axes, keepdims=True)
-    p_xz = table.sum(axis=y_axes, keepdims=True)
-    p_yz = table.sum(axis=x_axes, keepdims=True)
-    stat = np.abs(table * p_z - p_xz * p_yz)
-    valid = np.broadcast_to(p_z > tol, stat.shape)
-    return bool(np.all(stat[valid] <= tol))
+    return dependence_statistic(ExactMarginalProvider(joint, joint.n), X, Y, Z, skip_below=tol) <= tol
 
 
 def markov_parents(joint: JointTable, j: int, tol: float = EXACT_TOL) -> tuple[int, ...]:

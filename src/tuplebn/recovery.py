@@ -17,9 +17,8 @@ from typing import Protocol
 
 import numpy as np
 
-from .estimation import dependence_statistic
 from .model import DiscreteDag, JointTable
-from .oracle import EXACT_TOL, exact_provider
+from .oracle import EXACT_TOL, dependence_statistic, exact_provider
 
 
 class ModelViolationError(RuntimeError):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuplebn import (
-    CylinderKey,
     DiscreteDag,
     FrequencyTable,
     SampleMatrix,
@@ -91,26 +90,40 @@ def test_sample_matrix_range_checked_before_narrowing():
 def test_tuple_frequencies_tiny_case():
     s = SampleMatrix((2, 2), [[0, 0], [0, 1]])
     freq = tuple_frequencies(s, 2)
-    assert freq.frequency(CylinderKey((1, 2), (0, 0))) == 0.5
-    assert freq.frequency(CylinderKey((1, 2), (0, 1))) == 0.5
-    assert freq.frequency(CylinderKey((1, 2), (1, 0))) == 0.0
-    assert freq.count(CylinderKey((1, 2), (1, 1))) == 0
+    assert list(freq.counts) == [(1, 2)]
+    # values (0,0) (0,1) (1,0) (1,1) at mixed-radix codes 0..3
+    assert (freq.dense_counts((1, 2)) / freq.l).tolist() == [0.5, 0.5, 0.0, 0.0]
 
 
 def test_tuple_frequencies_counts_partition_l(chain_dag):
     s = sample(chain_dag, 500, seed=9)
     freq = tuple_frequencies(s, 2)
+    assert list(freq.counts) == list(itertools.combinations((1, 2, 3), 2))
     for pos in itertools.combinations((1, 2, 3), 2):
-        total = sum(c for key, c in freq.counts.items() if key.positions == pos)
-        assert total == 500
         assert freq.dense_counts(pos).sum() == 500
 
 
 def test_tuple_frequencies_sparse_only_realized_keys():
     s = SampleMatrix((2, 2), [[0, 0]])
     freq = tuple_frequencies(s, 2)
-    assert set(freq.counts) == {CylinderKey((1, 2), (0, 0))}
-    assert all(c > 0 for c in freq.counts.values())
+    assert freq.dense_counts((1, 2)).tolist() == [1, 0, 0, 0]
+    assert frequencies_to_dict(freq)["counts"] == [{"positions": [1, 2], "values": [0, 0], "count": 1}]
+
+
+@pytest.mark.parametrize("positions", [(2, 1), (0, 3), (1, 1), (1,), (1, 2, 3)])
+def test_dense_counts_rejects_other_than_a_stored_position_set(chain_dag, positions):
+    freq = tuple_frequencies(sample(chain_dag, 50, seed=0), 2)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        freq.dense_counts(positions)
+
+
+def test_dense_counts_read_only(chain_dag):
+    freq = tuple_frequencies(sample(chain_dag, 50, seed=0), 2)
+    for table in (freq, frequencies_from_dict(frequencies_to_dict(freq))):
+        arr = table.dense_counts((1, 3))
+        assert arr.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7
 
 
 def test_tuple_frequencies_k_out_of_range(chain_dag):
@@ -253,6 +266,13 @@ def test_frequencies_from_dict_names_bad_entry(entry, message):
     assert str(entry["positions"]) in str(err.value)
 
 
+def test_frequencies_from_dict_rejects_duplicate_zero_count():
+    data = valid_frequency_dict()
+    data["counts"] += [{"positions": [1, 2], "values": [1, 0], "count": 0}] * 2
+    with pytest.raises(ValueError, match="duplicate"):
+        frequencies_from_dict(data)
+
+
 def test_frequencies_from_dict_checks_totals():
     data = valid_frequency_dict()
     data["l"] = 3
@@ -271,10 +291,9 @@ def test_frequencies_json_round_trip(tmp_path, chain_dag):
     save_frequencies(freq, path)
     again = load_frequencies(path)
     assert again.k == freq.k and again.l == freq.l and again.cards == freq.cards
-    assert again.counts == freq.counts
+    assert frequencies_to_dict(again) == frequencies_to_dict(freq)
     save_frequencies(again, tmp_path / "freq2.json")
     assert (tmp_path / "freq2.json").read_bytes() == path.read_bytes()
-    assert frequencies_from_dict(frequencies_to_dict(freq)).counts == freq.counts
 
 
 @settings(max_examples=25, deadline=None)

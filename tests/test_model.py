@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tuplebn import (
     CapacityError,
-    CylinderKey,
     DiscreteDag,
     InvalidDagError,
     JointTable,
@@ -28,16 +27,6 @@ def test_mixed_radix_strides_most_significant_first():
     assert mixed_radix_strides((2, 3, 4)).tolist() == [12, 4, 1]
     assert mixed_radix_strides((5,)).tolist() == [1]
     assert mixed_radix_strides(()).tolist() == []
-
-
-def test_cylinder_key_requires_sorted_distinct_positions():
-    CylinderKey((1, 3), (0, 1))
-    with pytest.raises(ValueError):
-        CylinderKey((3, 1), (0, 1))
-    with pytest.raises(ValueError):
-        CylinderKey((2, 2), (0, 1))
-    with pytest.raises(ValueError):
-        CylinderKey((1, 2), (0,))
 
 
 def test_validate_dag_accepts_chain(chain_dag):
