@@ -12,7 +12,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from tuplebn import ExperimentConfig, random_dag, run_experiment, sample
+from tuplebn import (
+    ExperimentConfig,
+    random_dag,
+    run_experiment,
+    sample,
+    save_samples,
+    save_witness,
+    shatter_witness,
+    verify_shattered,
+)
 from tuplebn.cli import main
 
 CLI_DIGESTS = {
@@ -33,6 +42,15 @@ CHUNKED_ROWS_DIGEST = "727523623d43e7aa8b690e1ce2d97c6bb21267b564894f4f3ab1b2d96
 # one variable above 256 values, so sample storage needs more than a byte
 WIDE_CARDS = (3, 2, 300, 4)
 WIDE_ROWS_DIGEST = "62f33843e2d6789677a873a75edfc8db658bef88788685d15ed8524de7981792"
+# the samples CSV of a WIDE_CARDS draw over CHUNKED_L rows: values of one to
+# three digits, written in more than three full row chunks plus a partial one
+WIDE_CSV_DIGEST = "616f9a09d92a2da7a5d38f23658ae6ad9eb1bfb1d8c4bffeb23206bf8f877a94"
+# save_witness JSON, keyed by (n, k, value_pairs); (4, 4) has l_points == 0
+WITNESS_DIGESTS = {
+    (2048, 3, None): "af80e6f592a99ba9680af4af8c0f82d2b379115e8aa70f1c9656e68cf91cdcf7",
+    (4, 4, None): "0d2c908982f05f00de4f2e010b74f1b3c96f037e2ec7d7d0b3bfdad9fcbf8632",
+    (3, 2, ((0, 2), (1, 0), (5, 7))): "2b48dac3e32759f88f5e3dbad24a38defa27066ce0fc9eea308339ccf7c06437",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -96,3 +114,18 @@ def test_wide_card_sample_digest():
     s = sample(dag, 3000, seed=32)
     assert s.rows[:, 2].max() > 255
     assert rows_digest(s) == WIDE_ROWS_DIGEST
+
+
+def test_wide_card_samples_csv_digest(tmp_path):
+    dag = random_dag(len(WIDE_CARDS), 2, WIDE_CARDS, seed=31, floor=0.001)
+    path = tmp_path / "wide.csv"
+    save_samples(sample(dag, CHUNKED_L, seed=33), path)
+    assert sha256(path.read_bytes()) == WIDE_CSV_DIGEST
+
+
+@pytest.mark.parametrize("n, k, value_pairs", list(WITNESS_DIGESTS))
+def test_witness_json_digest(tmp_path, n, k, value_pairs):
+    w = shatter_witness(n, k, value_pairs)
+    path = tmp_path / "witness.json"
+    save_witness(w, verify_shattered(w, k), path)
+    assert sha256(path.read_bytes()) == WITNESS_DIGESTS[n, k, value_pairs]
