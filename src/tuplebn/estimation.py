@@ -222,12 +222,28 @@ def empirical_ci_test(provider, X, L, K, epsilon: float) -> bool:
 
 
 def save_samples(samples: SampleMatrix, path) -> None:
-    """CSV with header x1..xn, one integer row per record; round-trips exactly."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow([f"x{i}" for i in range(1, samples.n + 1)])
+    """CSV with header x1..xn, one integer row per record; round-trips exactly.
+
+    Each ``_SAMPLE_CHUNK``-row block is formatted in numpy: every value
+    indexes a table of its right-aligned decimal digits plus a separator
+    slot, and a matching mask drops the leading pad, so the bytes are the
+    plain decimal CSV that ``csv.writer`` writes.
+    """
+    values = np.arange(max(samples.cards, default=1))
+    powers = 10 ** np.arange(len(str(values[-1])) - 1, -1, -1)
+    digits = np.zeros((values.size, powers.size + 1), dtype=np.uint8)
+    digits[:, :-1] = values[:, None] // powers % 10 + ord("0")
+    keep = np.ones(digits.shape, dtype=bool)
+    keep[:, :-1] = (values[:, None] >= powers) | (powers == 1)
+    with open(path, "wb") as f:
+        f.write((",".join(f"x{i}" for i in range(1, samples.n + 1)) + "\n").encode())
         for start in range(0, samples.l, _SAMPLE_CHUNK):
-            writer.writerows(samples.rows[start : start + _SAMPLE_CHUNK].tolist())
+            block = samples.rows[start : start + _SAMPLE_CHUNK]
+            # np.take gathers table rows far faster than digits[block]
+            chars = np.take(digits, block, axis=0)
+            chars[:, :, -1] = ord(",")
+            chars[:, -1, -1] = ord("\n")
+            f.write(chars[np.take(keep, block, axis=0)].tobytes())
 
 
 def load_samples(path, cards=None) -> SampleMatrix:

@@ -296,5 +296,9 @@ def save_dag(dag: DiscreteDag, path) -> None:
 
 
 def load_dag(path) -> DiscreteDag:
+    """Read and validate a DAG file; an invalid one raises InvalidDagError
+    (``dag_from_dict`` itself does not validate)."""
     with open(path) as f:
-        return dag_from_dict(json.load(f))
+        dag = dag_from_dict(json.load(f))
+    require_valid(dag)
+    return dag

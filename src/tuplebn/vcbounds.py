@@ -235,17 +235,20 @@ def verify_shattered(witness: ShatterWitness, k: int) -> VerifyResult:
     (no fallback to later duplicates) defines the cylinder: positions
     (1..k-1, that column), values taken from the second entry of each value
     pair. The cylinder must pick out exactly the rows where s is 1.
+
+    One pass over the columns maps each column vector (its first l_points
+    entries) to the first column that holds it, so each subset finds its
+    column with one lookup instead of a scan.
     """
     lp = witness.l_points
-    n = witness.n
+    # by index, not zip(*matrix): with l_points == 0 every column is ()
+    first_column: dict[tuple[int, ...], int] = {}
+    for i in range(witness.n):
+        first_column.setdefault(tuple(witness.matrix[r][i] for r in range(lp)), i + 1)
     certs: list[Certificate] = []
     for idx in range(2**lp):
         s = tuple((idx >> (lp - 1 - r)) & 1 for r in range(lp))
-        column = None
-        for i in range(1, n + 1):
-            if tuple(witness.matrix[r][i - 1] for r in range(lp)) == s:
-                column = i
-                break
+        column = first_column.get(s)
         if column is None:
             return VerifyResult(False, tuple(certs), s)
         positions = tuple(range(1, k)) + (column,)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tuplebn import load_dag, load_samples, load_witness, save_dag
+from tuplebn import dag_to_dict, load_dag, load_samples, load_witness, save_dag
 from tuplebn.cli import EXIT_MODEL_VIOLATION, EXIT_OK, EXIT_USAGE, main
 
 
@@ -58,6 +58,17 @@ def test_sample_then_estimate(tmp_path):
     assert run(["estimate", "--samples", str(csv_path), "--k", "2", "--output", str(freq_path)]) == EXIT_OK
     data = json.loads(freq_path.read_text())
     assert data["k"] == 2 and data["l"] == 500
+
+
+def test_sample_rejects_invalid_dag(tmp_path, chain_dag, capsys):
+    data = dag_to_dict(chain_dag)
+    data["parents"][1] = [3]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code = run(["sample", "--dag", str(bad), "--l", "10", "--seed", "1", "--output", str(tmp_path / "s.csv")])
+    assert code == EXIT_USAGE
+    assert "invalid DAG" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sample_determinism(tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import numpy as np
@@ -25,6 +26,7 @@ from tuplebn import (
     save_samples,
     tuple_frequencies,
 )
+from tuplebn.estimation import _SAMPLE_CHUNK
 
 
 def point_mass_dag():
@@ -194,6 +196,31 @@ def test_samples_csv_round_trip(tmp_path, chain_dag):
     assert again == s
     save_samples(again, tmp_path / "rows2.csv")
     assert (tmp_path / "rows2.csv").read_bytes() == path.read_bytes()
+
+
+def csv_writer_bytes(samples, path):
+    """The samples CSV as csv.writer writes it, kept as the reference."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow([f"x{i}" for i in range(1, samples.n + 1)])
+        writer.writerows(samples.rows.tolist())
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cards, l",
+    [((10, 300, 2, 1, 11, 1000), _SAMPLE_CHUNK + 7), ((7,), 1000), ((10, 2, 300), 1)],
+    ids=["widths-1-to-3", "one-column", "one-row"],
+)
+def test_save_samples_matches_csv_writer(tmp_path, cards, l):
+    rng = np.random.default_rng(l)
+    rows = rng.integers(0, cards, size=(l, len(cards)))
+    rows[0] = np.asarray(cards) - 1  # every column's widest value
+    s = SampleMatrix(cards, rows)
+    path = tmp_path / "rows.csv"
+    save_samples(s, path)
+    assert path.read_bytes() == csv_writer_bytes(s, tmp_path / "ref.csv")
+    assert load_samples(path, cards=cards) == s
 
 
 def test_load_samples_infers_cards(tmp_path):

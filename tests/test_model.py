@@ -156,6 +156,16 @@ def test_dag_file_round_trip_bit_exact(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_load_dag_validates(tmp_path, chain_dag):
+    data = dag_to_dict(chain_dag)
+    data["parents"][1] = [3]  # node 2 with a later parent
+    dag_from_dict(data)  # the dict form stays permissive
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidDagError, match="parent index"):
+        load_dag(path)
+
+
 def test_dag_json_is_plain_data(tmp_path):
     dag = random_dag(3, 1, (2,) * 3, seed=5)
     path = tmp_path / "dag.json"

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from tuplebn import (
     BoundInputs,
+    Certificate,
+    VerifyResult,
     cylinder_count,
     load_witness,
     required_sample_size,
@@ -196,6 +198,79 @@ def test_verify_detects_corruption():
     result = verify_shattered(corrupted, 2)
     assert not result.ok
     assert result.failing_subset is not None
+
+
+def reference_verify(witness, k):
+    """verify_shattered as a column scan per subset, kept as the reference."""
+    lp = witness.l_points
+    certs = []
+    for idx in range(2**lp):
+        s = tuple((idx >> (lp - 1 - r)) & 1 for r in range(lp))
+        column = None
+        for i in range(1, witness.n + 1):
+            if tuple(witness.matrix[r][i - 1] for r in range(lp)) == s:
+                column = i
+                break
+        if column is None:
+            return VerifyResult(False, tuple(certs), s)
+        positions = tuple(range(1, k)) + (column,)
+        values = tuple(witness.value_pairs[p - 1][1] for p in positions)
+        members = tuple(
+            r for r in range(lp) if all(witness.points[r][p - 1] == v for p, v in zip(positions, values))
+        )
+        expected = tuple(r for r in range(lp) if s[r] == 1)
+        if members != expected:
+            return VerifyResult(False, tuple(certs), s)
+        certs.append(Certificate(idx, s, column, positions, values, members))
+    return VerifyResult(True, tuple(certs), None)
+
+
+def with_column(w, j, column, remap_points):
+    """w with 0-based matrix column j replaced; points follow the new matrix
+    only when remap_points is set."""
+    matrix = tuple(row[:j] + (column[r],) + row[j + 1:] for r, row in enumerate(w.matrix))
+    points = w.points
+    if remap_points:
+        points = tuple(tuple(w.value_pairs[i][bit] for i, bit in enumerate(row)) for row in matrix)
+    return dataclasses.replace(w, matrix=matrix, points=points)
+
+
+def test_verify_shattered_matches_column_scan_on_grid():
+    for k in (1, 2, 3):
+        for n in range(k, 40):
+            w = shatter_witness(n, k)
+            assert verify_shattered(w, k) == reference_verify(w, k), (n, k)
+
+
+W10 = shatter_witness(10, 1)  # l_points 3: word columns 1..8, zero columns 9 and 10
+W10_K2 = shatter_witness(10, 2)
+
+
+@pytest.mark.parametrize(
+    "w, k, ok, check",
+    [
+        (shatter_witness(3, 2, value_pairs=[(0, 2), (1, 0), (5, 7)]), 2, True, None),
+        (shatter_witness(9, 2, value_pairs=[(j + 3, j) for j in range(9)]), 2, True, None),
+        # one bit of the word block flipped; the points still show the old bit
+        (with_column(W10_K2, 3, (1, 1, 0), remap_points=False), 2, False, None),
+        # column 1 now repeats subset 5's word: the first match picks column 1
+        (with_column(W10, 0, (1, 0, 1), remap_points=True), 1, True,
+         lambda r: r.certificates[5].column == 1 and r.certificates[0].column == 9),
+        # the same, but the points still show the old column 1: no fallback to column 6
+        (with_column(W10, 0, (1, 0, 1), remap_points=False), 1, False,
+         lambda r: r.failing_subset == (1, 0, 1) and len(r.certificates) == 5),
+        # no column holds subset 3's word: partial certificates 0..2
+        (with_column(W10, 3, (0, 0, 0), remap_points=True), 1, False,
+         lambda r: r.failing_subset == (0, 1, 1) and len(r.certificates) == 3),
+    ],
+    ids=["value-pairs-3", "value-pairs-9", "flipped-bit", "duplicate-column",
+         "duplicate-column-stale-points", "missing-column"],
+)
+def test_verify_shattered_matches_column_scan(w, k, ok, check):
+    result = verify_shattered(w, k)
+    assert result == reference_verify(w, k)
+    assert result.ok == ok
+    assert check is None or check(result)
 
 
 def test_witness_grid_small():
