@@ -31,6 +31,12 @@ CLI_DIGESTS = {
     "recovered.json": "6a0305109ea7f83eccfdb9cefce16e8175d1b9510e234462a055b35a22c981cd",
     "trace.json": "c4544f566df5d2fac07e152b6fe36217293bde283367cfb915f60cae96e7c0de",
 }
+# exact-mode recovery of a network with card-1 variables first, in the
+# middle and last (cards 1,2,3,2,1,3,2,4,2,1), at delta 2
+EXACT_DIGESTS = {
+    "recovered.json": "6f593e8ba3b12dabb826d8fff721e1782eaa6308a6f614e7c9febd1ffc45ba3f",
+    "trace.json": "0d2128c29117dce08f151d637e783b8245376d52d06d3e2846942a11cde57636",
+}
 EXPERIMENT_DIGESTS = {
     "trials.csv": "dd6b67cac5a165654055b5fcc5cc1f39e8d75b27fcda4bd4111426b3d9d1847f",
     "summary.json": "91a1a6d0113879628ddd7c6dccafff0a8449657549d3d917eeb3fe22b6934c63",
@@ -79,6 +85,22 @@ def cli_artifacts(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def exact_artifacts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_exact")
+    net = str(out / "net.json")
+    p = {name: str(out / name) for name in EXACT_DIGESTS}
+    steps = [
+        ["generate", "--n", "10", "--delta", "2", "--cards", "1,2,3,2,1,3,2,4,2,1", "--seed", "41",
+         "--output", net],
+        ["recover", "--mode", "exact", "--dag", net, "--delta", "2", "--trace", p["trace.json"],
+         "--output", p["recovered.json"]],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+    return {name: (out / name).read_bytes() for name in EXACT_DIGESTS}
+
+
+@pytest.fixture(scope="module")
 def experiment_artifacts(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden_experiment")
     with pytest.MonkeyPatch.context() as mp:
@@ -95,6 +117,11 @@ def experiment_artifacts(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
 def test_cli_artifact_digest(cli_artifacts, name):
     assert sha256(cli_artifacts[name]) == CLI_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_DIGESTS))
+def test_exact_recovery_artifact_digest(exact_artifacts, name):
+    assert sha256(exact_artifacts[name]) == EXACT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENT_DIGESTS))
