@@ -197,10 +197,11 @@ def cmd_experiment(args) -> int:
         config = dataclasses.replace(config, output_dir=args.output_dir)
     summary = run_experiment(config, write_timings=args.timings)
     for entry in summary["per_l"]:
+        dev = entry["max_freq_dev_max"]
         print(
             f"l={entry['l']}: markov-ok {entry['markov_ok_rate']:.3f}, "
             f"graph-equal {entry['graph_equal_rate']:.3f}, "
-            f"max freq dev {entry['max_freq_dev_max']:.5f}, "
+            f"max freq dev {'n/a' if dev is None else f'{dev:.5f}'}, "
             f"risk bound {entry['risk_bound']:.3g}"
         )
     print(f"reports -> {config.output_dir}")

@@ -3,8 +3,10 @@
 Each (trial, sample-size) cell draws its own network instance and sample
 matrix from seeds derived deterministically from (master seed, trial index,
 sample-size index), recovers a structure with the empirical decider at the
-full tuple budget, and validates the result against the exact joint. Reports
-go to ``trials.csv`` plus an aggregate ``summary.json``; both are
+full tuple budget, and validates the result against the exact joint. A cell
+whose joint is above the capacity guard, or whose recovery or validation
+raises, is recorded with outcome ``error`` and the grid goes on. Reports go
+to ``trials.csv`` plus an aggregate ``summary.json``; both are
 byte-identical across reruns with the same configuration. Wall-clock timings
 are kept on the in-memory reports and written only on request, to a separate
 file, so the primary artifacts stay reproducible.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -138,6 +141,7 @@ class TrialReport:
 
     wall_time_ms is measurement-dependent and therefore excluded from the
     reproducible CSV; it is None on reports read back from disk.
+    max_freq_dev is nan on an error cell whose exact joint was not built.
     """
 
     trial: int
@@ -171,13 +175,14 @@ def run_trial_cell(config: ExperimentConfig, trial: int, l_index: int) -> TrialR
     dag_seed, sample_seed = int(state[0]), int(state[1])
     start = time.perf_counter()
     dag = random_dag(config.n, config.delta, config.cards, dag_seed, alpha=config.alpha, floor=config.floor)
-    joint = factorized_joint(dag)
     samples = sample(dag, l, sample_seed)
     freq = tuple_frequencies(samples, config.k)
     provider = empirical_provider(freq)
-    max_dev = _max_frequency_deviation(freq, joint)
+    max_dev = math.nan  # stays nan when the exact joint cannot be built
     graph_equal = False
     try:
+        joint = factorized_joint(dag)
+        max_dev = _max_frequency_deviation(freq, joint)
         decider = empirical_ci_decider(provider, config.epsilon)
         skeleton, _ = recover_structure(decider, config.n, config.delta)
         recovered = attach_cpts(skeleton, provider).dag
@@ -218,7 +223,7 @@ def summarize(config: ExperimentConfig, reports: list[TrialReport]) -> dict:
         }
         for r in cell:
             counts[r.outcome] += 1
-        devs = [r.max_freq_dev for r in cell]
+        devs = [r.max_freq_dev for r in cell if not math.isnan(r.max_freq_dev)]
         per_l.append(
             {
                 "l": l,
@@ -226,9 +231,9 @@ def summarize(config: ExperimentConfig, reports: list[TrialReport]) -> dict:
                 "outcomes": counts,
                 "markov_ok_rate": counts[OUTCOME_OK] / len(cell),
                 "graph_equal_rate": sum(r.graph_equal for r in cell) / len(cell),
-                "max_freq_dev_max": max(devs),
-                "max_freq_dev_mean": sum(devs) / len(devs),
-                "freq_dev_exceed_rate": sum(d >= config.epsilon for d in devs) / len(devs),
+                "max_freq_dev_max": max(devs) if devs else None,
+                "max_freq_dev_mean": sum(devs) / len(devs) if devs else None,
+                "freq_dev_exceed_rate": sum(d >= config.epsilon for d in devs) / len(devs) if devs else None,
                 "risk_bound": risk_bound(h, l, config.epsilon).bound,
             }
         )

@@ -111,6 +111,7 @@ class JointTable:
                 raise ValueError(f"joint probabilities sum to {total!r}, not 1")
         arr.flags.writeable = False
         self.probs = arr
+        self._prefix: dict[int, np.ndarray] = {}
 
     @property
     def n(self) -> int:
@@ -119,6 +120,25 @@ class JointTable:
     @property
     def array(self) -> np.ndarray:
         return self.probs.reshape(self.cards)
+
+    def prefix(self, m: int) -> np.ndarray:
+        """Flat marginal over positions 1..m, in row-major order.
+
+        Entry i is the sum of the i-th contiguous block of ``probs``, taken
+        by the same numpy reduction that sums trailing axes, so it is bit for
+        bit what ``array.sum`` gives over positions m+1..n. Computed once per
+        m and kept read-only; when positions m+1..n all have cardinality 1 it
+        is ``probs`` itself.
+        """
+        rows = math.prod(self.cards[:m])
+        if rows == self.probs.size:
+            return self.probs
+        hit = self._prefix.get(m)
+        if hit is None:
+            hit = self.probs.reshape(rows, -1).sum(axis=1)
+            hit.flags.writeable = False
+            self._prefix[m] = hit
+        return hit
 
     def __eq__(self, other):
         if not isinstance(other, JointTable):

@@ -1,5 +1,13 @@
 """Exact probabilistic queries on a dense joint table.
 
+Every marginal goes through :func:`marginal`, which uses the known
+variable order: a query whose last position is m never needs positions
+m+1..n, so the joint keeps, per m, the sum over them (its prefix over
+1..m; see ``JointTable.prefix``). The queried positions are then kept and
+the other positions of the prefix folded out. The result is bit for bit
+the one numpy's ``joint.array.sum`` over the unqueried axes gives, so the
+recovered tables do not change with the reduction.
+
 Conditional independence is tested in cross-multiplied form,
 ``P(x,y,z) * P(z) == P(x,z) * P(y,z)``, which avoids dividing by small
 conditioning masses; contexts with ``P(z)`` at or below the tolerance are
@@ -11,6 +19,7 @@ set whose complement is conditionally irrelevant.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +76,25 @@ def _check_positions(positions, n) -> tuple[int, ...]:
 
 
 def marginal(joint: JointTable, positions) -> MarginalTable:
-    """Sum the joint over every coordinate not in ``positions``."""
+    """Sum the joint over every coordinate not in ``positions``.
+
+    The positions after m, the last queried position of cardinality above
+    1, are summed by the joint's cached prefix over 1..m. The unqueried
+    positions before m are moved to the front of that prefix, in their
+    order, and folded out row by row. Positions of cardinality 1 take no
+    part: with them m could reach n, and a fold over the whole joint adds
+    in another order than the prefix sum.
+    """
     pos = _check_positions(positions, joint.n)
-    keep = set(p - 1 for p in pos)
-    drop = tuple(a for a in range(joint.n) if a not in keep)
-    probs = joint.array.sum(axis=drop) if drop else joint.array
     cards = tuple(joint.cards[p - 1] for p in pos)
-    flat = np.ascontiguousarray(probs).reshape(-1)
-    flat.flags.writeable = False
+    m = max((p for p in pos if joint.cards[p - 1] > 1), default=0)
+    summed = [a for a in range(m) if a + 1 not in pos and joint.cards[a] > 1]
+    flat = joint.prefix(m)
+    if summed:
+        kept = [a for a in range(m) if a not in summed]
+        moved = flat.reshape(joint.cards[:m]).transpose(summed + kept)
+        flat = np.ascontiguousarray(moved).reshape(-1, math.prod(cards)).sum(axis=0)
+        flat.flags.writeable = False
     return MarginalTable(pos, cards, flat)
 
 
@@ -155,21 +175,20 @@ def is_markov_relative(joint: JointTable, dag: DiscreteDag, tol: float = EXACT_T
     if dag.cards != joint.cards:
         raise ValueError(f"shape mismatch: dag cards {dag.cards} vs joint cards {joint.cards}")
     full = joint.array
-    n = joint.n
     product = np.ones_like(full)
     skip = np.zeros(full.shape, dtype=bool)
-    for j in range(1, n + 1):
-        ps = dag.parents[j - 1]
-        union = tuple(sorted(ps + (j,)))
-        drop = tuple(a for a in range(n) if (a + 1) not in union)
-        m_union = full.sum(axis=drop, keepdims=True) if drop else full
+    for j in range(1, joint.n + 1):
+        union = tuple(sorted(dag.parents[j - 1] + (j,)))
+        shape = [c if a in union else 1 for a, c in enumerate(joint.cards, start=1)]
+        m_union = marginal(joint, union).probs.reshape(shape)
         m_par = m_union.sum(axis=j - 1, keepdims=True)
         safe = m_par > 0
         cond = np.divide(m_union, np.where(safe, m_par, 1.0))
-        product = product * np.where(np.broadcast_to(safe, cond.shape), cond, 0.0)
-        skip |= np.broadcast_to(~safe, skip.shape)
-    diff = np.abs(full - product)
-    return bool(np.all(diff[~skip] <= tol))
+        product *= np.where(np.broadcast_to(safe, cond.shape), cond, 0.0)
+        skip |= ~safe
+    np.subtract(full, product, out=product)
+    np.abs(product, out=product)
+    return bool(np.all((product <= tol) | skip))
 
 
 class _ProviderBase:
@@ -231,7 +250,7 @@ class ExactMarginalProvider(_ProviderBase):
         self.max_tuple_size = int(max_tuple_size)
 
     def _compute(self, pos) -> np.ndarray:
-        return np.array(marginal(self._joint, pos).probs)
+        return marginal(self._joint, pos).probs
 
 
 def exact_provider(joint: JointTable, max_tuple_size: int) -> ExactMarginalProvider:

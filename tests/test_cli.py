@@ -1,9 +1,12 @@
 import json
+import math
+import tracemalloc
 
 import pytest
 
 from tuplebn import dag_to_dict, load_dag, load_samples, load_witness, save_dag
 from tuplebn.cli import EXIT_MODEL_VIOLATION, EXIT_OK, EXIT_USAGE, main
+from tuplebn.experiment import ExperimentConfig, TrialReport, summarize
 
 
 def run(args):
@@ -191,6 +194,52 @@ def test_experiment_smoke(tmp_path, capsys):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["per_l"][0]["trials"] == 2
     assert summary["max_tuple_size_overall"] <= 3
+
+
+def test_experiment_cell_above_joint_capacity_is_an_error_cell(tmp_path, capsys):
+    # 2**25 joint entries is above the capacity guard: each cell records an
+    # error with no deviation, and the grid still runs to the end
+    cfg = {
+        "n": 25, "delta": 1, "d": 2,
+        "sample_sizes": [200, 300], "epsilon": 0.01, "delta_risk": 0.05,
+        "trials": 2, "seed": 5, "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    tracemalloc.start()
+    try:
+        assert run(["experiment", "--config", str(cfg_path)]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**25  # the 256 MiB joint was never allocated
+    rows = [line.split(",") for line in (tmp_path / "out" / "trials.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+    assert all(r[4] == "error" and r[5] == "nan" for r in rows)
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    for entry in summary["per_l"]:
+        assert entry["outcomes"]["error"] == 2
+        assert entry["max_freq_dev_max"] is None
+        assert entry["max_freq_dev_mean"] is None
+        assert entry["freq_dev_exceed_rate"] is None
+    assert "max freq dev n/a" in capsys.readouterr().out
+
+
+def test_summarize_skips_cells_without_a_deviation():
+    config = ExperimentConfig.from_dict({
+        "n": 3, "delta": 1, "d": 2, "sample_sizes": [100], "epsilon": 0.2, "delta_risk": 0.05,
+        "trials": 3, "seed": 1, "output_dir": "out",
+    })
+    reports = [
+        TrialReport(0, 0, 100, 1, "markov-ok", 0.25, 3, True),
+        TrialReport(1, 0, 100, 2, "error", math.nan, 0, False),
+        TrialReport(2, 0, 100, 3, "markov-fail", 0.05, 3, False),
+    ]
+    entry = summarize(config, reports)["per_l"][0]
+    assert entry["max_freq_dev_max"] == 0.25
+    assert entry["max_freq_dev_mean"] == pytest.approx(0.15)
+    assert entry["freq_dev_exceed_rate"] == 0.5
+    assert entry["outcomes"]["error"] == 1
 
 
 def test_experiment_rejects_unknown_config_key(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,37 @@ def test_marginal_rejects_bad_positions(chain_joint):
         marginal(chain_joint, (0,))
     with pytest.raises(ValueError):
         marginal(chain_joint, (4,))
+
+
+def old_marginal_probs(joint, pos):
+    """Reference: one numpy sum of the dense joint over every axis not in
+    pos. marginal must give these values bit for bit."""
+    keep = set(p - 1 for p in pos)
+    drop = tuple(a for a in range(joint.n) if a not in keep)
+    probs = joint.array.sum(axis=drop) if drop else joint.array
+    return np.ascontiguousarray(probs).reshape(-1)
+
+
+@pytest.mark.parametrize("cards, seed", [
+    ((2,) * 8, 0),
+    ((3,) * 7, 1),
+    ((2, 3, 2, 4, 2, 3, 5), 2),
+    ((1, 2, 1, 3, 1, 2, 2, 1), 3),
+    ((2, 1, 3, 12, 2, 2, 1), 4),
+])
+def test_marginal_bit_identical_to_full_sum(cards, seed):
+    joint = factorized_joint(random_dag(len(cards), 2, cards, seed=seed))
+    provider = exact_provider(joint, 5)
+    for k in range(1, 6):
+        for pos in itertools.combinations(range(1, joint.n + 1), k):
+            expected = old_marginal_probs(joint, pos).tobytes()
+            assert marginal(joint, pos).probs.tobytes() == expected, pos
+            assert provider.table(pos).tobytes() == expected, pos
+    for m in range(joint.n + 1):
+        p = joint.prefix(m)
+        assert not p.flags.writeable
+        assert joint.prefix(m) is p
+    assert joint.prefix(joint.n) is joint.probs
 
 
 def test_chain_screening(chain_joint):
