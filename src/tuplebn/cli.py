@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .estimation import (
-    empirical_provider,
+    EmpiricalMarginalProvider,
     load_samples,
     sample,
     save_frequencies,
@@ -123,7 +123,7 @@ def cmd_recover(args) -> int:
         samples = load_samples(args.samples, cards)
         n = samples.n
         freq = tuple_frequencies(samples, min(budget, n))
-        provider = empirical_provider(freq)
+        provider = EmpiricalMarginalProvider(freq)
         decider = empirical_ci_decider(provider, args.epsilon)
     skeleton, trace = recover_structure(decider, n, args.delta)
     result = attach_cpts(skeleton, provider)

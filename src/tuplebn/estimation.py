@@ -1,11 +1,4 @@
-"""Sampling, tuple-frequency tables, and the empirical dependence decision.
-
-The decision rule compares the cross-multiplied dependence statistic
-|f(x,l,k) f(k) - f(x,k) f(l,k)| against a threshold of 4*epsilon, the
-worst-case first-order propagation of a uniform frequency error epsilon
-through the statistic. Conditioning contexts whose empirical mass is at or
-below the threshold are skipped: they carry no reliable signal.
-"""
+"""Sampling, tuple-frequency tables, and the empirical marginal provider."""
 
 from __future__ import annotations
 
@@ -18,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DiscreteDag, require_valid
-from .oracle import _ProviderBase, _check_positions, dependence_statistic
+from .oracle import _ProviderBase
 
 # Rows drawn per generator call in ``sample``. Consecutive draws continue
 # one stream, so the rows do not depend on this value; it bounds the
@@ -187,38 +180,13 @@ class EmpiricalMarginalProvider(_ProviderBase):
         return tuple(sorted((*pos, *fill)))
 
     def _compute(self, pos) -> np.ndarray:
-        return self.table_via_superset(pos, self._lex_superset(pos))
-
-    def table_via_superset(self, positions, superset) -> np.ndarray:
-        """Dense probabilities over ``positions`` derived from a chosen
-        size-k superset; exposed so consistency across supersets is testable."""
-        pos = _check_positions(positions, self.n)
-        sup = _check_positions(superset, self.n)
-        if len(sup) != self.max_tuple_size or not set(pos) <= set(sup):
-            raise ValueError(f"superset {sup} must have size {self.max_tuple_size} and contain {pos}")
-        dense = self._freq.dense_counts(sup)
+        sup = self._lex_superset(pos)
         dims = tuple(self.cards[p - 1] for p in sup)
-        keep = tuple(i for i, p in enumerate(sup) if p in set(pos))
-        drop = tuple(i for i in range(len(sup)) if i not in keep)
-        counts = dense.reshape(dims).sum(axis=drop) if drop else dense.reshape(dims)
+        drop = tuple(i for i, p in enumerate(sup) if p not in pos)
+        counts = self._freq.dense_counts(sup).reshape(dims)
+        if drop:
+            counts = counts.sum(axis=drop)
         return counts.reshape(-1).astype(np.float64) / self._freq.l
-
-
-def empirical_provider(freq: FrequencyTable) -> EmpiricalMarginalProvider:
-    return EmpiricalMarginalProvider(freq)
-
-
-def empirical_ci_test(provider, X, L, K, epsilon: float) -> bool:
-    """Deviation-threshold independence decision; True means independent.
-
-    Dependent iff the statistic exceeds 4*epsilon somewhere; an epsilon
-    large enough that the threshold reaches 1 makes every context skippable
-    and the decision trivially independent.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    threshold = 4.0 * epsilon
-    return dependence_statistic(provider, X, L, K, skip_below=threshold) <= threshold
 
 
 def save_samples(samples: SampleMatrix, path) -> None:

@@ -3,13 +3,15 @@
 Each (trial, sample-size) cell draws its own network instance and sample
 matrix from seeds derived deterministically from (master seed, trial index,
 sample-size index), recovers a structure with the empirical decider at the
-full tuple budget, and validates the result against the exact joint. A cell
-whose joint is above the capacity guard, or whose recovery or validation
-raises, is recorded with outcome ``error`` and the grid goes on. Reports go
-to ``trials.csv`` plus an aggregate ``summary.json``; both are
-byte-identical across reruns with the same configuration. Wall-clock timings
-are kept on the in-memory reports and written only on request, to a separate
-file, so the primary artifacts stay reproducible.
+full tuple budget, and validates the result against the exact joint. The
+search runs before the joint is built, so a cell whose joint is above the
+capacity guard still records its tuple size and graph equality. Such a
+cell, or one whose recovery or validation raises, is recorded with outcome
+``error`` (``model-violation`` if the search found one) and the grid goes
+on. Reports go to ``trials.csv`` plus an aggregate ``summary.json``; both
+are byte-identical across reruns with the same configuration. Wall-clock
+timings are kept on the in-memory reports and written only on request, to
+a separate file, so the primary artifacts stay reproducible.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .estimation import empirical_provider, sample, tuple_frequencies
-from .model import factorized_joint, random_dag
+from .estimation import EmpiricalMarginalProvider, sample, tuple_frequencies
+from .model import _read_field, factorized_joint, random_dag
 from .oracle import is_markov_relative, marginal
 from .recovery import ModelViolationError, attach_cpts, empirical_ci_decider, recover_structure
 from .vcbounds import required_sample_size, risk_bound, vc_upper_bound
@@ -36,6 +38,12 @@ OUTCOME_FAIL = "markov-fail"
 OUTCOME_ERROR = "error"
 
 TRIALS_HEADER = ["trial", "l_index", "l", "seed", "outcome", "max_freq_dev", "max_tuple_size", "graph_equal"]
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -96,38 +104,29 @@ class ExperimentConfig:
             raise ValueError(f"missing config keys: {missing}")
         if ("cards" in data) == ("d" in data):
             raise ValueError('exactly one of "cards" or "d" is required')
-        n = int(data["n"])
-        cards = tuple(int(c) for c in data["cards"]) if "cards" in data else (int(data["d"]),) * n
+
+        def read(key, convert, default=None):
+            return _read_field(data, key, convert, "config") if key in data else default
+
+        n = read("n", int)
+        cards = read("cards", lambda v: tuple(int(c) for c in v)) if "cards" in data else (read("d", int),) * n
         return cls(
             n=n,
-            delta=int(data["delta"]),
+            delta=read("delta", int),
             cards=cards,
-            alpha=float(data.get("alpha", 1.0)),
-            floor=float(data.get("floor", 0.01)),
-            sample_sizes=tuple(int(l) for l in data["sample_sizes"]),
-            epsilon=float(data["epsilon"]),
-            delta_risk=float(data["delta_risk"]),
-            trials=int(data["trials"]),
-            seed=int(data["seed"]),
-            output_dir=str(data["output_dir"]),
-            markov_tol=float(data.get("markov_tol", 1e-2)),
+            alpha=read("alpha", float, 1.0),
+            floor=read("floor", float, 0.01),
+            sample_sizes=read("sample_sizes", lambda v: tuple(int(l) for l in v)),
+            epsilon=read("epsilon", float),
+            delta_risk=read("delta_risk", float),
+            trials=read("trials", int),
+            seed=read("seed", int),
+            output_dir=read("output_dir", _string),
+            markov_tol=read("markov_tol", float, 1e-2),
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "cards": list(self.cards),
-            "alpha": self.alpha,
-            "floor": self.floor,
-            "sample_sizes": list(self.sample_sizes),
-            "epsilon": self.epsilon,
-            "delta_risk": self.delta_risk,
-            "trials": self.trials,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "markov_tol": self.markov_tol,
-        }
+        return asdict(self)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -140,8 +139,8 @@ class TrialReport:
     """One (trial, sample size) cell of the experiment grid.
 
     wall_time_ms is measurement-dependent and therefore excluded from the
-    reproducible CSV; it is None on reports read back from disk.
-    max_freq_dev is nan on an error cell whose exact joint was not built.
+    reproducible CSV. max_freq_dev is nan on a cell whose exact joint was
+    not built.
     """
 
     trial: int
@@ -161,7 +160,7 @@ def _max_frequency_deviation(freq, joint) -> float:
     n = len(freq.cards)
     for pos in itertools.combinations(range(1, n + 1), freq.k):
         emp = freq.dense_counts(pos).astype(np.float64) / freq.l
-        exact = marginal(joint, pos).probs
+        exact = marginal(joint, pos)
         dev = float(np.abs(emp - exact).max())
         if dev > worst:
             worst = dev
@@ -177,22 +176,31 @@ def run_trial_cell(config: ExperimentConfig, trial: int, l_index: int) -> TrialR
     dag = random_dag(config.n, config.delta, config.cards, dag_seed, alpha=config.alpha, floor=config.floor)
     samples = sample(dag, l, sample_seed)
     freq = tuple_frequencies(samples, config.k)
-    provider = empirical_provider(freq)
+    provider = EmpiricalMarginalProvider(freq)
     max_dev = math.nan  # stays nan when the exact joint cannot be built
     graph_equal = False
+    outcome = OUTCOME_ERROR
+    recovered = None
+    # the search needs only the samples, so it runs before the exact joint,
+    # which a cell above the capacity guard cannot build
     try:
+        decider = empirical_ci_decider(provider, config.epsilon)
+        try:
+            skeleton, _ = recover_structure(decider, config.n, config.delta)
+        except ModelViolationError:
+            outcome = OUTCOME_VIOLATION
+        else:
+            recovered = attach_cpts(skeleton, provider).dag
+            graph_equal = recovered.parents == dag.parents
         joint = factorized_joint(dag)
         max_dev = _max_frequency_deviation(freq, joint)
-        decider = empirical_ci_decider(provider, config.epsilon)
-        skeleton, _ = recover_structure(decider, config.n, config.delta)
-        recovered = attach_cpts(skeleton, provider).dag
-        graph_equal = recovered.parents == dag.parents
-        ok = is_markov_relative(joint, recovered, tol=config.markov_tol)
-        outcome = OUTCOME_OK if ok else OUTCOME_FAIL
-    except ModelViolationError:
-        outcome = OUTCOME_VIOLATION
-    except Exception:  # a cell failure must not abort the batch
-        outcome = OUTCOME_ERROR
+        if recovered is not None:
+            ok = is_markov_relative(joint, recovered, tol=config.markov_tol)
+            outcome = OUTCOME_OK if ok else OUTCOME_FAIL
+    except Exception:
+        # a cell failure must not abort the batch; the outcome stays error,
+        # or model-violation when the search found one
+        pass
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return TrialReport(
         trial=trial,
@@ -258,29 +266,6 @@ def save_trial_reports(reports: list[TrialReport], path) -> None:
                 [r.trial, r.l_index, r.l, r.seed, r.outcome, repr(r.max_freq_dev),
                  r.max_tuple_size, "true" if r.graph_equal else "false"]
             )
-
-
-def load_trial_reports(path) -> list[TrialReport]:
-    reports = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != TRIALS_HEADER:
-            raise ValueError(f"unexpected trials header: {header}")
-        for row in reader:
-            reports.append(
-                TrialReport(
-                    trial=int(row[0]),
-                    l_index=int(row[1]),
-                    l=int(row[2]),
-                    seed=int(row[3]),
-                    outcome=row[4],
-                    max_freq_dev=float(row[5]),
-                    max_tuple_size=int(row[6]),
-                    graph_equal=row[7] == "true",
-                )
-            )
-    return reports
 
 
 def run_experiment(config: ExperimentConfig, write_timings: bool = False) -> dict:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -33,15 +32,6 @@ class InvalidDagError(ValueError):
 
 class CapacityError(ValueError):
     """A dense joint table would exceed the configured capacity."""
-
-
-def mixed_radix_strides(dims: Sequence[int]) -> np.ndarray:
-    """Strides for flattening a value tuple over ``dims``, most significant first."""
-    k = len(dims)
-    strides = np.ones(k, dtype=np.int64)
-    for i in range(k - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    return strides
 
 
 class DiscreteDag:
@@ -97,18 +87,17 @@ class JointTable:
     i.e. the value of variable 1 is the most significant digit.
     """
 
-    def __init__(self, cards, probs, check: bool = True):
+    def __init__(self, cards, probs):
         self.cards = tuple(int(c) for c in cards)
         arr = np.ascontiguousarray(np.asarray(probs, dtype=np.float64)).reshape(-1)
         expected = math.prod(self.cards)
         if arr.size != expected:
             raise ValueError(f"probs has {arr.size} entries, expected {expected}")
-        if check:
-            if np.any(arr < 0):
-                raise ValueError("joint probabilities must be non-negative")
-            total = float(arr.sum())
-            if abs(total - 1.0) > JOINT_SUM_TOL:
-                raise ValueError(f"joint probabilities sum to {total!r}, not 1")
+        if np.any(arr < 0):
+            raise ValueError("joint probabilities must be non-negative")
+        total = float(arr.sum())
+        if abs(total - 1.0) > JOINT_SUM_TOL:
+            raise ValueError(f"joint probabilities sum to {total!r}, not 1")
         arr.flags.writeable = False
         self.probs = arr
         self._prefix: dict[int, np.ndarray] = {}
@@ -250,13 +239,11 @@ def random_dag(
     seed,
     alpha: float = 1.0,
     floor: float = 0.01,
-    vary_indegree: bool = False,
 ) -> DiscreteDag:
     """Random ordering-consistent instance with strictly positive CPTs.
 
     Each node gets min(j-1, delta) parents chosen uniformly among its
-    predecessors (a uniformly random size in 0..min(j-1, delta) under
-    ``vary_indegree``). CPT rows are symmetric-Dirichlet draws with
+    predecessors. CPT rows are symmetric-Dirichlet draws with
     concentration ``alpha``, mixed with the uniform row so that every entry
     is at least ``floor``.
     """
@@ -278,8 +265,7 @@ def random_dag(
     parents = []
     cpts = []
     for j in range(1, n + 1):
-        limit = min(j - 1, delta)
-        size = int(rng.integers(0, limit + 1)) if vary_indegree else limit
+        size = min(j - 1, delta)
         chosen = rng.choice(j - 1, size=size, replace=False) if size else np.empty(0, int)
         ps = tuple(sorted(int(p) + 1 for p in chosen))
         parents.append(ps)
@@ -301,11 +287,31 @@ def dag_to_dict(dag: DiscreteDag) -> dict:
     }
 
 
+def _read_field(data: dict, key: str, convert, what: str):
+    """``convert(data[key])``, with a TypeError or ValueError raised as a
+    ValueError that names the field of ``what``."""
+    try:
+        return convert(data[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} field {key!r} is malformed: {exc}") from None
+
+
+_DAG_FIELDS = {
+    "n": int,
+    "cards": lambda v: [int(c) for c in v],
+    "delta": int,
+    "parents": lambda v: [[int(p) for p in ps] for ps in v],
+    "cpts": lambda v: [np.asarray(t, dtype=np.float64) for t in v],
+}
+
+
 def dag_from_dict(data: dict) -> DiscreteDag:
-    missing = {"n", "cards", "delta", "parents", "cpts"} - set(data)
+    """Inverse of dag_to_dict. Does not validate the structure, but a field
+    of the wrong type raises ValueError naming the field."""
+    missing = set(_DAG_FIELDS) - set(data)
     if missing:
         raise ValueError(f"DAG file missing fields: {sorted(missing)}")
-    return DiscreteDag(data["n"], data["cards"], data["delta"], data["parents"], data["cpts"])
+    return DiscreteDag(**{key: _read_field(data, key, convert, "DAG") for key, convert in _DAG_FIELDS.items()})
 
 
 def save_dag(dag: DiscreteDag, path) -> None:

@@ -8,23 +8,21 @@ the other positions of the prefix folded out. The result is bit for bit
 the one numpy's ``joint.array.sum`` over the unqueried axes gives, so the
 recovered tables do not change with the reduction.
 
-Conditional independence is tested in cross-multiplied form,
-``P(x,y,z) * P(z) == P(x,z) * P(y,z)``, which avoids dividing by small
-conditioning masses; contexts with ``P(z)`` at or below the tolerance are
-skipped. Markov parents are found by scanning predecessor subsets in order
-of increasing size (lexicographic within a size) and returning the first
-set whose complement is conditionally irrelevant.
+Dependence is measured in cross-multiplied form,
+``|P(x,y,z) * P(z) - P(x,z) * P(y,z)|``, which avoids dividing by small
+conditioning masses; contexts with ``P(z)`` at or below a skip level are
+left out. ``recovery.ProviderCiDecider`` turns the statistic into the
+independence decision, for exact and empirical marginals alike.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JointTable, DiscreteDag, mixed_radix_strides
+from .model import JointTable, DiscreteDag
 
 EXACT_TOL = 1e-9
 
@@ -51,19 +49,6 @@ class AccessLog:
             self.max_size = size
 
 
-@dataclass(frozen=True)
-class MarginalTable:
-    """Dense marginal over a sorted position set (1-based positions)."""
-
-    positions: tuple[int, ...]
-    cards: tuple[int, ...]
-    probs: np.ndarray
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.probs.reshape(self.cards)
-
-
 def _check_positions(positions, n) -> tuple[int, ...]:
     pos = tuple(int(p) for p in positions)
     if not pos:
@@ -75,8 +60,9 @@ def _check_positions(positions, n) -> tuple[int, ...]:
     return pos
 
 
-def marginal(joint: JointTable, positions) -> MarginalTable:
-    """Sum the joint over every coordinate not in ``positions``.
+def marginal(joint: JointTable, positions) -> np.ndarray:
+    """Read-only flat marginal over the sorted ``positions``: the joint
+    summed over every other coordinate, in row-major order.
 
     The positions after m, the last queried position of cardinality above
     1, are summed by the joint's cached prefix over 1..m. The unqueried
@@ -86,16 +72,16 @@ def marginal(joint: JointTable, positions) -> MarginalTable:
     in another order than the prefix sum.
     """
     pos = _check_positions(positions, joint.n)
-    cards = tuple(joint.cards[p - 1] for p in pos)
     m = max((p for p in pos if joint.cards[p - 1] > 1), default=0)
     summed = [a for a in range(m) if a + 1 not in pos and joint.cards[a] > 1]
     flat = joint.prefix(m)
     if summed:
         kept = [a for a in range(m) if a not in summed]
         moved = flat.reshape(joint.cards[:m]).transpose(summed + kept)
-        flat = np.ascontiguousarray(moved).reshape(-1, math.prod(cards)).sum(axis=0)
+        kept_size = math.prod(joint.cards[p - 1] for p in pos)
+        flat = np.ascontiguousarray(moved).reshape(-1, kept_size).sum(axis=0)
         flat.flags.writeable = False
-    return MarginalTable(pos, cards, flat)
+    return flat
 
 
 def _disjoint_sorted(*groups):
@@ -117,8 +103,6 @@ def dependence_statistic(provider, X, L, K, skip_below: float) -> float:
     if not X or not L:
         return 0.0
     union = tuple(sorted(X + L + K))
-    if len(union) > provider.max_tuple_size:
-        raise TupleSizeError(len(union), provider.max_tuple_size)
     dims = tuple(provider.cards[p - 1] for p in union)
     table = provider.table(union).reshape(dims)
     ax = {p: i for i, p in enumerate(union)}
@@ -132,38 +116,6 @@ def dependence_statistic(provider, X, L, K, skip_below: float) -> float:
     if not np.any(valid):
         return 0.0
     return float(stat[valid].max())
-
-
-def conditional_independent(joint: JointTable, X, Y, Z, tol: float = EXACT_TOL) -> bool:
-    """True iff X and Y carry no information about each other once Z is fixed.
-
-    Checked as |P(x,y,z)P(z) - P(x,z)P(y,z)| <= tol for every realization
-    whose context satisfies P(z) > tol; with empty Z this reduces to
-    |P(x,y) - P(x)P(y)| <= tol.
-    """
-    return dependence_statistic(ExactMarginalProvider(joint, joint.n), X, Y, Z, skip_below=tol) <= tol
-
-
-def markov_parents(joint: JointTable, j: int, tol: float = EXACT_TOL) -> tuple[int, ...]:
-    """Minimal predecessor set rendering node j independent of the rest.
-
-    Requires a strictly positive joint; otherwise the minimal set need not be
-    unique and the query is refused.
-    """
-    if not 1 <= j <= joint.n:
-        raise ValueError(f"node index {j} out of range 1..{joint.n}")
-    if np.any(joint.probs <= 0):
-        raise ValueError(
-            "markov_parents requires a strictly positive joint; "
-            "minimality is not unique with zero-probability configurations"
-        )
-    preceding = tuple(range(1, j))
-    for size in range(len(preceding) + 1):
-        for cand in itertools.combinations(preceding, size):
-            rest = tuple(p for p in preceding if p not in cand)
-            if conditional_independent(joint, (j,), rest, cand, tol):
-                return cand
-    raise AssertionError("unreachable: the full predecessor set always qualifies")
 
 
 def is_markov_relative(joint: JointTable, dag: DiscreteDag, tol: float = EXACT_TOL) -> bool:
@@ -180,7 +132,7 @@ def is_markov_relative(joint: JointTable, dag: DiscreteDag, tol: float = EXACT_T
     for j in range(1, joint.n + 1):
         union = tuple(sorted(dag.parents[j - 1] + (j,)))
         shape = [c if a in union else 1 for a, c in enumerate(joint.cards, start=1)]
-        m_union = marginal(joint, union).probs.reshape(shape)
+        m_union = marginal(joint, union).reshape(shape)
         m_par = m_union.sum(axis=j - 1, keepdims=True)
         safe = m_par > 0
         cond = np.divide(m_union, np.where(safe, m_par, 1.0))
@@ -218,18 +170,6 @@ class _ProviderBase:
             self._cache[pos] = hit
         return hit
 
-    def query(self, positions, values) -> float:
-        pos = tuple(int(p) for p in positions)
-        vals = tuple(int(v) for v in values)
-        if len(pos) != len(vals):
-            raise ValueError("positions and values must have equal length")
-        t = self.table(pos)
-        cards = tuple(self.cards[p - 1] for p in pos)
-        if any(not 0 <= v < c for v, c in zip(vals, cards)):
-            raise ValueError(f"values {vals} out of range for cardinalities {cards}")
-        idx = int(np.dot(vals, mixed_radix_strides(cards))) if pos else 0
-        return float(t[idx])
-
     def _compute(self, pos) -> np.ndarray:
         raise NotImplementedError
 
@@ -250,8 +190,4 @@ class ExactMarginalProvider(_ProviderBase):
         self.max_tuple_size = int(max_tuple_size)
 
     def _compute(self, pos) -> np.ndarray:
-        return marginal(self._joint, pos).probs
-
-
-def exact_provider(joint: JointTable, max_tuple_size: int) -> ExactMarginalProvider:
-    return ExactMarginalProvider(joint, max_tuple_size)
+        return marginal(self._joint, pos)

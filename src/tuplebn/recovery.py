@@ -12,13 +12,13 @@ exactly the tuple budget the providers enforce.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Protocol
 
 import numpy as np
 
 from .model import DiscreteDag, JointTable
-from .oracle import EXACT_TOL, dependence_statistic, exact_provider
+from .oracle import EXACT_TOL, ExactMarginalProvider, dependence_statistic
 
 
 class ModelViolationError(RuntimeError):
@@ -65,13 +65,21 @@ class ProviderCiDecider:
         return hit
 
 
-def exact_ci_decider(joint: JointTable, delta: int, tol: float = EXACT_TOL) -> ProviderCiDecider:
-    """Decider backed by exact marginals, budgeted to (2*delta + 1)-tuples."""
-    return ProviderCiDecider(exact_provider(joint, 2 * delta + 1), tol)
+def exact_ci_decider(joint: JointTable, delta: int) -> ProviderCiDecider:
+    """Decider backed by exact marginals, budgeted to (2*delta + 1)-tuples,
+    with ``EXACT_TOL`` as its threshold."""
+    return ProviderCiDecider(ExactMarginalProvider(joint, 2 * delta + 1), EXACT_TOL)
 
 
 def empirical_ci_decider(provider, epsilon: float) -> ProviderCiDecider:
-    """Decider applying the 4*epsilon deviation threshold to estimated marginals."""
+    """Decider applying the 4*epsilon deviation threshold to estimated marginals.
+
+    4*epsilon is the worst-case first-order propagation of a uniform
+    frequency error epsilon through the dependence statistic. Contexts whose
+    empirical mass is at or below it are skipped: they carry no reliable
+    signal. An epsilon large enough that the threshold reaches 1 makes every
+    context skippable and every decision independent.
+    """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     return ProviderCiDecider(provider, 4.0 * epsilon)
@@ -110,19 +118,7 @@ class RecoveryTrace:
     nodes: list[NodeTrace] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "nodes": [
-                {
-                    "node": t.node,
-                    "m": t.m,
-                    "tested": [list(k) for k in t.tested],
-                    "accepted": list(t.accepted) if t.accepted is not None else None,
-                    "removals": [{"removed": s.removed, "kept": s.kept} for s in t.removals],
-                    "parents": list(t.parents),
-                }
-                for t in self.nodes
-            ]
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RecoveryTrace":
@@ -165,12 +161,6 @@ def _minimize(decider: CiDecider, j: int, accepted: tuple[int, ...], m: int):
                 current = list(reduced)
                 changed = True
     return tuple(sorted(current)), steps
-
-
-def minimize_parent_set(decider: CiDecider, j: int, K, m: int) -> tuple[int, ...]:
-    """Greedy single-deletion minimization of an accepted conditioning set."""
-    final, _ = _minimize(decider, j, tuple(sorted(K)), m)
-    return final
 
 
 def recover_structure(decider: CiDecider, n: int, delta: int) -> tuple[Skeleton, RecoveryTrace]:

@@ -37,8 +37,6 @@ class BoundInputs:
     d: int
     epsilon: float
     delta_risk: float
-    l: int = 1
-    h: float = 1.0
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n:
@@ -49,8 +47,6 @@ class BoundInputs:
             raise ValueError(f"epsilon must be in (0,1), got {self.epsilon}")
         if not 0 < self.delta_risk < 1:
             raise ValueError(f"delta_risk must be in (0,1), got {self.delta_risk}")
-        if self.l < 1 or self.h <= 0:
-            raise ValueError(f"l must be >= 1 and h > 0, got l={self.l}, h={self.h}")
 
 
 class CylinderCount(NamedTuple):

@@ -21,11 +21,11 @@ import pytest
 
 from tuplebn import (
     EXACT_TOL,
+    ExactMarginalProvider,
     ExperimentConfig,
     ProviderCiDecider,
     TupleSizeError,
     attach_cpts,
-    exact_provider,
     factorized_joint,
     is_markov_relative,
     marginal,
@@ -70,7 +70,7 @@ def test_criterion_1_exact_recovery_grid(report):
     for rng_seed, n, d, delta in _recovery_grid():
         dag = random_dag(n, delta, (d,) * n, rng_seed)
         joint = factorized_joint(dag)
-        provider = exact_provider(joint, 2 * delta + 1)
+        provider = ExactMarginalProvider(joint, 2 * delta + 1)
         decider = ProviderCiDecider(provider, EXACT_TOL)
         skeleton, _ = recover_structure(decider, n, delta)
         recovered = attach_cpts(skeleton, provider).dag
@@ -91,7 +91,7 @@ def test_criterion_2_tuple_budget_never_exceeded(report):
         budget = 2 * delta + 1
         dag = random_dag(n, delta, (d,) * n, rng_seed)
         joint = factorized_joint(dag)
-        provider = exact_provider(joint, budget)
+        provider = ExactMarginalProvider(joint, budget)
         decider = ProviderCiDecider(provider, EXACT_TOL)
         skeleton, _ = recover_structure(decider, n, delta)
         attach_cpts(skeleton, provider)
@@ -262,7 +262,7 @@ def test_criterion_6_risk_sample_size_controls_deviations(report):
         worst = 0.0
         for pos in itertools.combinations(range(1, n + 1), k):
             emp = freq.dense_counts(pos).astype(np.float64) / l_risk
-            exact = marginal(joint, pos).probs
+            exact = marginal(joint, pos)
             worst = max(worst, float(np.abs(emp - exact).max()))
         exceed += worst > eps
     elapsed = time.perf_counter() - start

@@ -1,0 +1,32 @@
+import tuplebn
+
+# Wrappers and test-only helpers that the one decision path
+# (ProviderCiDecider over ExactMarginalProvider / EmpiricalMarginalProvider)
+# replaced.
+REMOVED = (
+    "MarginalTable",
+    "conditional_independent",
+    "empirical_ci_test",
+    "empirical_provider",
+    "exact_provider",
+    "load_trial_reports",
+    "markov_parents",
+    "minimize_parent_set",
+    "mixed_radix_strides",
+)
+
+
+def test_every_exported_name_resolves_once():
+    assert len(set(tuplebn.__all__)) == len(tuplebn.__all__)
+    missing = [name for name in tuplebn.__all__ if not hasattr(tuplebn, name)]
+    assert missing == []
+
+
+def test_star_import():
+    namespace = {}
+    exec("from tuplebn import *", namespace)
+    assert set(tuplebn.__all__) <= set(namespace)
+
+
+def test_removed_names_are_not_exported():
+    assert [name for name in REMOVED if name in tuplebn.__all__ or hasattr(tuplebn, name)] == []

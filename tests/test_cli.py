@@ -198,7 +198,8 @@ def test_experiment_smoke(tmp_path, capsys):
 
 def test_experiment_cell_above_joint_capacity_is_an_error_cell(tmp_path, capsys):
     # 2**25 joint entries is above the capacity guard: each cell records an
-    # error with no deviation, and the grid still runs to the end
+    # error with no deviation, and the grid still runs to the end; the search
+    # needs no joint, so each cell still records its tuple size
     cfg = {
         "n": 25, "delta": 1, "d": 2,
         "sample_sizes": [200, 300], "epsilon": 0.01, "delta_risk": 0.05,
@@ -216,7 +217,9 @@ def test_experiment_cell_above_joint_capacity_is_an_error_cell(tmp_path, capsys)
     rows = [line.split(",") for line in (tmp_path / "out" / "trials.csv").read_text().splitlines()[1:]]
     assert [(r[0], r[1]) for r in rows] == [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
     assert all(r[4] == "error" and r[5] == "nan" for r in rows)
+    assert all(r[6] == "3" for r in rows)
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["max_tuple_size_overall"] == 3
     for entry in summary["per_l"]:
         assert entry["outcomes"]["error"] == 2
         assert entry["max_freq_dev_max"] is None
@@ -247,6 +250,38 @@ def test_experiment_rejects_unknown_config_key(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"n": 4, "typo_key": 1}))
     assert run(["experiment", "--config", str(cfg_path)]) == EXIT_USAGE
     assert "typo_key" in capsys.readouterr().err
+
+
+def only_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+def test_sample_names_malformed_dag_field(tmp_path, chain_dag, capsys):
+    data = dag_to_dict(chain_dag)
+    data["parents"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code = run(["sample", "--dag", str(bad), "--l", "10", "--seed", "1", "--output", str(tmp_path / "s.csv")])
+    assert code == EXIT_USAGE
+    assert "'parents'" in only_error_line(capsys)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", None), ("sample_sizes", 10), ("cards", [2, None, 2]), ("output_dir", None),
+])
+def test_experiment_names_malformed_config_field(tmp_path, capsys, field, value):
+    cfg = {
+        "n": 3, "delta": 1, "sample_sizes": [100], "epsilon": 0.01, "delta_risk": 0.05,
+        "trials": 1, "seed": 2, "output_dir": str(tmp_path / "out"),
+    }
+    cfg["cards" if field == "cards" else "d"] = 2
+    cfg[field] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["experiment", "--config", str(cfg_path)]) == EXIT_USAGE
+    assert f"'{field}'" in only_error_line(capsys)
 
 
 def test_experiment_timings_flag(tmp_path):

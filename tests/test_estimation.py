@@ -10,11 +10,11 @@ from tuplebn import (
     DiscreteDag,
     FrequencyTable,
     SampleMatrix,
+    EmpiricalMarginalProvider,
+    ExactMarginalProvider,
     TupleSizeError,
     dependence_statistic,
-    empirical_ci_test,
-    empirical_provider,
-    exact_provider,
+    empirical_ci_decider,
     factorized_joint,
     frequencies_from_dict,
     frequencies_to_dict,
@@ -140,50 +140,50 @@ def test_empty_data_refused():
     empty = SampleMatrix((2, 2), np.zeros((0, 2), dtype=np.int64))
     freq = tuple_frequencies(empty, 1)
     with pytest.raises(ValueError):
-        empirical_provider(freq)
+        EmpiricalMarginalProvider(freq)
 
 
 def test_provider_superset_consistency(chain_dag):
     s = sample(chain_dag, 2000, seed=3)
-    provider = empirical_provider(tuple_frequencies(s, 2))
-    via_12 = provider.table_via_superset((2,), (1, 2))
-    via_23 = provider.table_via_superset((2,), (2, 3))
+    freq = tuple_frequencies(s, 2)
+    via_12 = freq.dense_counts((1, 2)).reshape(2, 2).sum(axis=0)
+    via_23 = freq.dense_counts((2, 3)).reshape(2, 2).sum(axis=1)
     assert np.array_equal(via_12, via_23)  # integer counts marginalize exactly
-    assert np.array_equal(provider.table((2,)), via_12)
+    assert np.array_equal(EmpiricalMarginalProvider(freq).table((2,)), via_12 / freq.l)
 
 
 def test_provider_budget(chain_dag):
     s = sample(chain_dag, 100, seed=1)
-    provider = empirical_provider(tuple_frequencies(s, 2))
+    provider = EmpiricalMarginalProvider(tuple_frequencies(s, 2))
     with pytest.raises(TupleSizeError):
         provider.table((1, 2, 3))
 
 
 def test_dependence_statistic_xor(xor_joint):
-    provider = exact_provider(xor_joint, 3)
+    provider = ExactMarginalProvider(xor_joint, 3)
     stat = dependence_statistic(provider, (1,), (3,), (2,), skip_below=0.04)
     assert stat == pytest.approx(0.0625, abs=1e-12)
-    assert not empirical_ci_test(provider, (1,), (3,), (2,), 0.01)
+    assert not empirical_ci_decider(provider, 0.01).decide((1,), (3,), (2,))
 
 
 def test_dependence_statistic_product_measure_zero(product_joint):
-    provider = exact_provider(product_joint, 3)
+    provider = ExactMarginalProvider(product_joint, 3)
     assert dependence_statistic(provider, (1,), (2,), (), skip_below=0.0) == pytest.approx(0.0, abs=1e-15)
-    assert empirical_ci_test(provider, (1,), (2,), (3,), 1e-6)
+    assert empirical_ci_decider(provider, 1e-6).decide((1,), (2,), (3,))
 
 
 def test_large_epsilon_always_independent(xor_joint):
     # threshold 4*eps >= 1 exceeds any achievable statistic on binary data
-    provider = exact_provider(xor_joint, 3)
-    assert empirical_ci_test(provider, (1,), (3,), (2,), 0.25)
+    provider = ExactMarginalProvider(xor_joint, 3)
+    assert empirical_ci_decider(provider, 0.25).decide((1,), (3,), (2,))
 
 
 def test_empirical_matches_exact_decision_at_large_l(chain_dag, chain_joint):
     s = sample(chain_dag, 200_000, seed=11)
-    emp = empirical_provider(tuple_frequencies(s, 3))
+    emp = EmpiricalMarginalProvider(tuple_frequencies(s, 3))
     # chain: 1 and 3 screened by 2; 1 and 2 dependent
-    assert empirical_ci_test(emp, (1,), (3,), (2,), 0.005)
-    assert not empirical_ci_test(emp, (1,), (2,), (), 0.005)
+    assert empirical_ci_decider(emp, 0.005).decide((1,), (3,), (2,))
+    assert not empirical_ci_decider(emp, 0.005).decide((1,), (2,), ())
 
 
 def test_samples_csv_round_trip(tmp_path, chain_dag):
@@ -332,7 +332,7 @@ def test_marginal_consistency_property(seed, l):
     s = sample(dag, l, seed=seed + 1)
     k2 = tuple_frequencies(s, 2)
     k1 = tuple_frequencies(s, 1)
-    provider = empirical_provider(k2)
+    provider = EmpiricalMarginalProvider(k2)
     for j in (1, 2, 3, 4):
         direct = k1.dense_counts((j,)) / l
         assert np.array_equal(provider.table((j,)), direct)

@@ -15,18 +15,11 @@ from tuplebn import (
     dag_to_dict,
     factorized_joint,
     load_dag,
-    mixed_radix_strides,
     random_dag,
     require_valid,
     save_dag,
     validate_dag,
 )
-
-
-def test_mixed_radix_strides_most_significant_first():
-    assert mixed_radix_strides((2, 3, 4)).tolist() == [12, 4, 1]
-    assert mixed_radix_strides((5,)).tolist() == [1]
-    assert mixed_radix_strides(()).tolist() == []
 
 
 def test_validate_dag_accepts_chain(chain_dag):

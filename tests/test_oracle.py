@@ -6,27 +6,27 @@ import pytest
 from tuplebn import (
     EXACT_TOL,
     DiscreteDag,
+    ExactMarginalProvider,
+    ProviderCiDecider,
     TupleSizeError,
-    conditional_independent,
-    exact_provider,
     factorized_joint,
     is_markov_relative,
     marginal,
-    markov_parents,
     random_dag,
 )
 
 
+def exact_independent(joint, X, Y, Z):
+    return ProviderCiDecider(ExactMarginalProvider(joint, joint.n), EXACT_TOL).decide(X, Y, Z)
+
+
 def test_marginal_of_chain(chain_joint):
-    m2 = marginal(chain_joint, (2,))
-    assert m2.probs == pytest.approx([0.59, 0.41], abs=1e-12)
-    m12 = marginal(chain_joint, (1, 2))
-    assert m12.probs == pytest.approx([0.56, 0.14, 0.03, 0.27], abs=1e-12)
+    assert marginal(chain_joint, (2,)) == pytest.approx([0.59, 0.41], abs=1e-12)
+    assert marginal(chain_joint, (1, 2)) == pytest.approx([0.56, 0.14, 0.03, 0.27], abs=1e-12)
 
 
 def test_marginal_full_set_is_identity(chain_joint):
-    m = marginal(chain_joint, (1, 2, 3))
-    assert np.allclose(m.probs, chain_joint.probs)
+    assert np.allclose(marginal(chain_joint, (1, 2, 3)), chain_joint.probs)
 
 
 def test_marginal_rejects_bad_positions(chain_joint):
@@ -58,11 +58,13 @@ def old_marginal_probs(joint, pos):
 ])
 def test_marginal_bit_identical_to_full_sum(cards, seed):
     joint = factorized_joint(random_dag(len(cards), 2, cards, seed=seed))
-    provider = exact_provider(joint, 5)
+    provider = ExactMarginalProvider(joint, 5)
     for k in range(1, 6):
         for pos in itertools.combinations(range(1, joint.n + 1), k):
             expected = old_marginal_probs(joint, pos).tobytes()
-            assert marginal(joint, pos).probs.tobytes() == expected, pos
+            m = marginal(joint, pos)
+            assert m.tobytes() == expected, pos
+            assert not m.flags.writeable
             assert provider.table(pos).tobytes() == expected, pos
     for m in range(joint.n + 1):
         p = joint.prefix(m)
@@ -73,49 +75,32 @@ def test_marginal_bit_identical_to_full_sum(cards, seed):
 
 def test_chain_screening(chain_joint):
     # X1 and X3 talk only through X2
-    assert conditional_independent(chain_joint, (1,), (3,), (2,))
-    assert not conditional_independent(chain_joint, (1,), (3,), ())
-    assert not conditional_independent(chain_joint, (1,), (2,), ())
+    assert exact_independent(chain_joint, (1,), (3,), (2,))
+    assert not exact_independent(chain_joint, (1,), (3,), ())
+    assert not exact_independent(chain_joint, (1,), (2,), ())
 
 
 def test_xor_pairwise_but_not_jointly_independent(xor_joint):
-    assert conditional_independent(xor_joint, (1,), (3,), ())
-    assert conditional_independent(xor_joint, (2,), (3,), ())
-    assert not conditional_independent(xor_joint, (1,), (3,), (2,))
-    assert not conditional_independent(xor_joint, (3,), (1, 2), ())
+    assert exact_independent(xor_joint, (1,), (3,), ())
+    assert exact_independent(xor_joint, (2,), (3,), ())
+    assert not exact_independent(xor_joint, (1,), (3,), (2,))
+    assert not exact_independent(xor_joint, (3,), (1, 2), ())
 
 
 def test_product_measure_everything_independent(product_joint):
-    assert conditional_independent(product_joint, (1,), (2,), ())
-    assert conditional_independent(product_joint, (1,), (3,), (2,))
-    assert conditional_independent(product_joint, (1, 2), (3,), ())
+    assert exact_independent(product_joint, (1,), (2,), ())
+    assert exact_independent(product_joint, (1,), (3,), (2,))
+    assert exact_independent(product_joint, (1, 2), (3,), ())
 
 
 def test_conditional_independent_rejects_overlap(chain_joint):
     with pytest.raises(ValueError):
-        conditional_independent(chain_joint, (1,), (1,), (2,))
+        exact_independent(chain_joint, (1,), (1,), (2,))
 
 
 def test_empty_side_is_vacuously_independent(chain_joint):
-    assert conditional_independent(chain_joint, (), (3,), (2,))
-    assert conditional_independent(chain_joint, (1,), (), ())
-
-
-def test_markov_parents_chain(chain_joint):
-    assert markov_parents(chain_joint, 1) == ()
-    assert markov_parents(chain_joint, 2) == (1,)
-    assert markov_parents(chain_joint, 3) == (2,)
-
-
-def test_markov_parents_product(product_joint):
-    for j in (1, 2, 3):
-        assert markov_parents(product_joint, j) == ()
-
-
-def test_markov_parents_refuses_zeros(xor_joint):
-    # the xor joint has zero-probability configurations
-    with pytest.raises(ValueError):
-        markov_parents(xor_joint, 3)
+    assert exact_independent(chain_joint, (), (3,), (2,))
+    assert exact_independent(chain_joint, (1,), (), ())
 
 
 def test_is_markov_relative_true_and_false(chain_joint, chain_dag):
@@ -137,7 +122,7 @@ def test_is_markov_relative_superset_of_parents_still_compatible(chain_joint):
 
 
 def test_provider_budget_and_log(chain_joint):
-    provider = exact_provider(chain_joint, 2)
+    provider = ExactMarginalProvider(chain_joint, 2)
     provider.table((1, 2))
     provider.table((3,))
     with pytest.raises(TupleSizeError):
@@ -147,29 +132,8 @@ def test_provider_budget_and_log(chain_joint):
 
 
 def test_provider_cache_returns_same_array(chain_joint):
-    provider = exact_provider(chain_joint, 3)
+    provider = ExactMarginalProvider(chain_joint, 3)
     a = provider.table((1, 3))
     b = provider.table((1, 3))
     assert a is b
     assert not a.flags.writeable
-
-
-def test_provider_query_scalar(chain_joint):
-    provider = exact_provider(chain_joint, 3)
-    assert provider.query((1, 2), (0, 0)) == pytest.approx(0.56, abs=1e-12)
-    assert provider.query((2,), (1,)) == pytest.approx(0.41, abs=1e-12)
-    with pytest.raises(ValueError):
-        provider.query((1,), (2,))  # value out of range
-
-
-def test_markov_parents_match_structure_on_random_instances():
-    # strictly positive instances: the minimal screening set is the true one
-    for seed in range(10):
-        dag = random_dag(5, 1, (2,) * 5, seed=seed, floor=0.1)
-        joint = factorized_joint(dag)
-        for j in range(1, 6):
-            found = markov_parents(joint, j)
-            # found must screen j from all other predecessors
-            rest = tuple(p for p in range(1, j) if p not in found)
-            assert conditional_independent(joint, (j,), rest, found, EXACT_TOL)
-            assert len(found) <= len(dag.parents[j - 1])

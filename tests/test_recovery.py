@@ -6,18 +6,17 @@ import pytest
 from tuplebn import (
     EXACT_TOL,
     DiscreteDag,
+    EmpiricalMarginalProvider,
+    ExactMarginalProvider,
     ModelViolationError,
     ProviderCiDecider,
     RecoveryTrace,
     Skeleton,
     attach_cpts,
     empirical_ci_decider,
-    empirical_provider,
     exact_ci_decider,
-    exact_provider,
     factorized_joint,
     is_markov_relative,
-    minimize_parent_set,
     random_dag,
     recover_structure,
     sample,
@@ -55,19 +54,29 @@ def test_delta_zero_vacuous(chain_joint):
     assert skeleton.parents == ((), (), ())
 
 
+def node_3_minimization(joint):
+    _, trace = recover_structure(exact_ci_decider(joint, 2), 3, 2)
+    node = trace.nodes[2]
+    assert node.accepted == (1, 2)
+    return node.parents, [(s.removed, s.kept) for s in node.removals]
+
+
 def test_minimize_parent_set_chain(chain_joint):
-    decider = exact_ci_decider(chain_joint, 2)
-    assert minimize_parent_set(decider, 3, (1, 2), 2) == (2,)
-    assert minimize_parent_set(decider, 3, (), 2) == ()
+    # dropping 1 keeps X3 screened by X2; dropping 2 then fails, twice
+    # because the pass that removed 1 starts another
+    parents, removals = node_3_minimization(chain_joint)
+    assert parents == (2,)
+    assert removals == [(1, True), (2, False), (2, False)]
 
 
 def test_minimize_independent_measure(product_joint):
-    decider = exact_ci_decider(product_joint, 2)
-    assert minimize_parent_set(decider, 3, (1, 2), 2) == ()
+    parents, removals = node_3_minimization(product_joint)
+    assert parents == ()
+    assert removals == [(1, True), (2, True)]
 
 
 def test_attach_cpts_inverts_factorization(chain_dag, chain_joint):
-    provider = exact_provider(chain_joint, 3)
+    provider = ExactMarginalProvider(chain_joint, 3)
     decider = ProviderCiDecider(provider, EXACT_TOL)
     skeleton, _ = recover_structure(decider, 3, 1)
     result = attach_cpts(skeleton, provider)
@@ -83,7 +92,7 @@ def test_attach_cpts_zero_mass_uniform_row():
         [np.array([[1.0, 0.0]]), np.array([[0.3, 0.7], [0.6, 0.4]])],
     )
     joint = factorized_joint(dead)
-    provider = exact_provider(joint, 3)
+    provider = ExactMarginalProvider(joint, 3)
     skeleton = Skeleton(2, 1, ((), (1,)))
     result = attach_cpts(skeleton, provider)
     assert result.uniform_rows == ((2, 1),)  # parent value 1 never occurs
@@ -95,7 +104,7 @@ def test_recovered_structure_markov_on_random_instances():
     for seed in range(20):
         dag = random_dag(6, 2, (2,) * 6, seed=seed)
         joint = factorized_joint(dag)
-        provider = exact_provider(joint, 5)
+        provider = ExactMarginalProvider(joint, 5)
         skeleton, _ = recover_structure(ProviderCiDecider(provider, EXACT_TOL), 6, 2)
         rec = attach_cpts(skeleton, provider).dag
         assert is_markov_relative(joint, rec, tol=1e-8)
@@ -118,7 +127,7 @@ def test_trace_json_round_trip(chain_joint):
 
 def test_empirical_recovery_on_chain(chain_dag, chain_joint):
     s = sample(chain_dag, 100_000, seed=21)
-    provider = empirical_provider(tuple_frequencies(s, 3))
+    provider = EmpiricalMarginalProvider(tuple_frequencies(s, 3))
     decider = empirical_ci_decider(provider, 0.0015)
     skeleton, _ = recover_structure(decider, 3, 1)
     rec = attach_cpts(skeleton, provider).dag
@@ -127,7 +136,7 @@ def test_empirical_recovery_on_chain(chain_dag, chain_joint):
 
 
 def test_decider_validates_threshold(chain_joint):
-    provider = exact_provider(chain_joint, 3)
+    provider = ExactMarginalProvider(chain_joint, 3)
     with pytest.raises(ValueError):
         ProviderCiDecider(provider, 0.0)
     with pytest.raises(ValueError):
@@ -137,7 +146,7 @@ def test_decider_validates_threshold(chain_joint):
 def test_budget_never_exceeded_with_tight_provider(chain_joint):
     # a provider budgeted at exactly 2*delta+1 never sees an oversized query
     for delta in (0, 1, 2):
-        provider = exact_provider(chain_joint, 2 * delta + 1)
+        provider = ExactMarginalProvider(chain_joint, 2 * delta + 1)
         recover_structure(ProviderCiDecider(provider, EXACT_TOL), 3, delta)
         assert provider.access_log.max_size <= 2 * delta + 1
 
