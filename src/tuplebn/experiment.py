@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .estimation import EmpiricalMarginalProvider, sample, tuple_frequencies
-from .model import _read_field, factorized_joint, random_dag
+from .model import _integer, _integers, _read_field, factorized_joint, random_dag
 from .oracle import is_markov_relative, marginal
 from .recovery import ModelViolationError, attach_cpts, empirical_ci_decider, recover_structure
 from .vcbounds import required_sample_size, risk_bound, vc_upper_bound
@@ -44,6 +44,27 @@ def _string(value) -> str:
     if not isinstance(value, str):
         raise TypeError(f"expected a string, got {value!r}")
     return value
+
+
+_REQUIRED = object()
+
+# key -> (converter, default); _REQUIRED marks a key the file must give.
+# "cards" and "d" are the two exclusive ways to give the cardinalities.
+_CONFIG_FIELDS = {
+    "n": (_integer, _REQUIRED),
+    "cards": (_integers, None),
+    "d": (_integer, None),
+    "delta": (_integer, _REQUIRED),
+    "alpha": (float, 1.0),
+    "floor": (float, 0.01),
+    "sample_sizes": (_integers, _REQUIRED),
+    "epsilon": (float, _REQUIRED),
+    "delta_risk": (float, _REQUIRED),
+    "trials": (_integer, _REQUIRED),
+    "seed": (_integer, _REQUIRED),
+    "output_dir": (_string, _REQUIRED),
+    "markov_tol": (float, 1e-2),
+}
 
 
 @dataclass(frozen=True)
@@ -89,41 +110,22 @@ class ExperimentConfig:
         Cardinalities come either as "cards" (a list) or "d" (one uniform
         value), exactly one of the two.
         """
-        allowed = {
-            "n", "delta", "cards", "d", "alpha", "floor", "sample_sizes",
-            "epsilon", "delta_risk", "trials", "seed", "output_dir", "markov_tol",
-        }
-        unknown = sorted(set(data) - allowed)
+        unknown = sorted(set(data) - set(_CONFIG_FIELDS))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        missing = sorted(
-            k for k in ("n", "delta", "sample_sizes", "epsilon", "delta_risk", "trials", "seed", "output_dir")
-            if k not in data
-        )
+        missing = sorted(k for k, (_, default) in _CONFIG_FIELDS.items() if default is _REQUIRED and k not in data)
         if missing:
             raise ValueError(f"missing config keys: {missing}")
         if ("cards" in data) == ("d" in data):
             raise ValueError('exactly one of "cards" or "d" is required')
-
-        def read(key, convert, default=None):
-            return _read_field(data, key, convert, "config") if key in data else default
-
-        n = read("n", int)
-        cards = read("cards", lambda v: tuple(int(c) for c in v)) if "cards" in data else (read("d", int),) * n
-        return cls(
-            n=n,
-            delta=read("delta", int),
-            cards=cards,
-            alpha=read("alpha", float, 1.0),
-            floor=read("floor", float, 0.01),
-            sample_sizes=read("sample_sizes", lambda v: tuple(int(l) for l in v)),
-            epsilon=read("epsilon", float),
-            delta_risk=read("delta_risk", float),
-            trials=read("trials", int),
-            seed=read("seed", int),
-            output_dir=read("output_dir", _string),
-            markov_tol=read("markov_tol", float, 1e-2),
-        )
+        values = {
+            key: _read_field(data, key, convert, "config") if key in data else default
+            for key, (convert, default) in _CONFIG_FIELDS.items()
+        }
+        d = values.pop("d")
+        if d is not None:
+            values["cards"] = (d,) * values["n"]
+        return cls(**values)
 
     def to_dict(self) -> dict:
         return asdict(self)

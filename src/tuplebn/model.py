@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_JOINT_CAPACITY = 2**24
+JOINT_CAPACITY = 2**24
 CPT_ROW_TOL = 1e-12
 JOINT_SUM_TOL = 1e-10
 
@@ -31,7 +31,7 @@ class InvalidDagError(ValueError):
 
 
 class CapacityError(ValueError):
-    """A dense joint table would exceed the configured capacity."""
+    """A dense joint table would exceed ``JOINT_CAPACITY`` entries."""
 
 
 class DiscreteDag:
@@ -76,9 +76,6 @@ class DiscreteDag:
     def parent_cards(self, j: int) -> tuple[int, ...]:
         return tuple(self.cards[p - 1] for p in self.parents[j - 1])
 
-    def parent_config_count(self, j: int) -> int:
-        return int(math.prod(self.parent_cards(j)))
-
 
 class JointTable:
     """Dense joint distribution over all configurations.
@@ -93,10 +90,11 @@ class JointTable:
         expected = math.prod(self.cards)
         if arr.size != expected:
             raise ValueError(f"probs has {arr.size} entries, expected {expected}")
-        if np.any(arr < 0):
-            raise ValueError("joint probabilities must be non-negative")
+        # written so that a NaN fails each check
+        if not np.all(arr >= 0):
+            raise ValueError("joint probabilities must be non-negative numbers")
         total = float(arr.sum())
-        if abs(total - 1.0) > JOINT_SUM_TOL:
+        if not abs(total - 1.0) <= JOINT_SUM_TOL:
             raise ValueError(f"joint probabilities sum to {total!r}, not 1")
         arr.flags.writeable = False
         self.probs = arr
@@ -193,11 +191,12 @@ def validate_dag(dag: DiscreteDag) -> ValidationReport:
         if cpt.shape != (n_cfg, d_j):
             bad.append(Violation(j, "cpt shape mismatch", f"{cpt.shape} != ({n_cfg}, {d_j})"))
             continue
-        if np.any(cpt < 0) or np.any(cpt > 1):
+        # written so that a NaN fails each check; argmax picks a NaN first
+        if not np.all((cpt >= 0) & (cpt <= 1)):
             bad.append(Violation(j, "probability out of [0,1]", f"min={cpt.min()!r}, max={cpt.max()!r}"))
         sums = cpt.sum(axis=1)
         worst = int(np.argmax(np.abs(sums - 1.0)))
-        if abs(sums[worst] - 1.0) > CPT_ROW_TOL:
+        if not abs(sums[worst] - 1.0) <= CPT_ROW_TOL:
             bad.append(Violation(j, "cpt row does not sum to 1", f"row {worst} sums to {sums[worst]!r}"))
     return ValidationReport(not bad, tuple(bad))
 
@@ -208,27 +207,24 @@ def require_valid(dag: DiscreteDag) -> None:
         raise InvalidDagError(report.violations)
 
 
-def factorized_joint(dag: DiscreteDag, capacity: int = DEFAULT_JOINT_CAPACITY) -> JointTable:
+def factorized_joint(dag: DiscreteDag) -> JointTable:
     """Exact joint obtained by multiplying the per-node conditional tables.
 
-    Guarded by ``capacity`` on the number of dense entries.
+    Guarded by ``JOINT_CAPACITY`` on the number of dense entries.
     """
     require_valid(dag)
     total = math.prod(dag.cards)
-    if total > capacity:
+    if total > JOINT_CAPACITY:
         raise CapacityError(
-            f"dense joint needs {total} entries, above the capacity guard {capacity}"
+            f"dense joint needs {total} entries, above the capacity guard {JOINT_CAPACITY}"
         )
     probs = np.ones(dag.cards, dtype=np.float64)
     for j in range(1, dag.n + 1):
-        ps = dag.parents[j - 1]
-        axes = tuple(p - 1 for p in ps) + (j - 1,)
-        shape = [1] * dag.n
-        for a in axes:
-            shape[a] = dag.cards[a]
-        factor = dag.cpts[j - 1].reshape(tuple(dag.cards[a] for a in axes))
-        # move the factor's axes into position, size-1 elsewhere
-        probs = probs * factor.reshape(shape)
+        axes = (*dag.parents[j - 1], j)
+        # a CPT is row-major over its parents in increasing order, then j,
+        # so it reshapes straight onto those axes of the joint
+        shape = [c if a in axes else 1 for a, c in enumerate(dag.cards, start=1)]
+        probs *= dag.cpts[j - 1].reshape(shape)
     return JointTable(dag.cards, probs.reshape(-1))
 
 
@@ -287,6 +283,18 @@ def dag_to_dict(dag: DiscreteDag) -> dict:
     }
 
 
+def _integer(value) -> int:
+    """``value`` if it is an integer; a bool, a float or a string raises
+    TypeError rather than being truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _integers(values) -> tuple[int, ...]:
+    return tuple(_integer(v) for v in values)
+
+
 def _read_field(data: dict, key: str, convert, what: str):
     """``convert(data[key])``, with a TypeError or ValueError raised as a
     ValueError that names the field of ``what``."""
@@ -297,10 +305,10 @@ def _read_field(data: dict, key: str, convert, what: str):
 
 
 _DAG_FIELDS = {
-    "n": int,
-    "cards": lambda v: [int(c) for c in v],
-    "delta": int,
-    "parents": lambda v: [[int(p) for p in ps] for ps in v],
+    "n": _integer,
+    "cards": _integers,
+    "delta": _integer,
+    "parents": lambda v: [_integers(ps) for ps in v],
     "cpts": lambda v: [np.asarray(t, dtype=np.float64) for t in v],
 }
 

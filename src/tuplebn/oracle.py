@@ -112,35 +112,30 @@ def dependence_statistic(provider, X, L, K, skip_below: float) -> float:
     f_xk = table.sum(axis=l_axes, keepdims=True)
     f_lk = table.sum(axis=x_axes, keepdims=True)
     stat = np.abs(table * f_k - f_xk * f_lk)
-    valid = np.broadcast_to(f_k > skip_below, stat.shape)
-    if not np.any(valid):
-        return 0.0
-    return float(stat[valid].max())
+    return float(np.max(stat, where=f_k > skip_below, initial=0.0))
 
 
 def is_markov_relative(joint: JointTable, dag: DiscreteDag, tol: float = EXACT_TOL) -> bool:
     """True iff the joint factorizes over the DAG's parent sets.
 
-    The per-node conditionals are computed from the joint itself; parent
-    configurations of zero marginal mass are skipped.
+    The per-node conditionals are computed from the joint itself. A parent
+    configuration of zero marginal mass gets a zero conditional: every joint
+    entry under it is a term of that zero sum of non-negative values, so it
+    is exactly 0 too and the two sides agree there.
     """
     if dag.cards != joint.cards:
         raise ValueError(f"shape mismatch: dag cards {dag.cards} vs joint cards {joint.cards}")
     full = joint.array
     product = np.ones_like(full)
-    skip = np.zeros(full.shape, dtype=bool)
     for j in range(1, joint.n + 1):
         union = tuple(sorted(dag.parents[j - 1] + (j,)))
         shape = [c if a in union else 1 for a, c in enumerate(joint.cards, start=1)]
         m_union = marginal(joint, union).reshape(shape)
         m_par = m_union.sum(axis=j - 1, keepdims=True)
-        safe = m_par > 0
-        cond = np.divide(m_union, np.where(safe, m_par, 1.0))
-        product *= np.where(np.broadcast_to(safe, cond.shape), cond, 0.0)
-        skip |= ~safe
+        product *= np.divide(m_union, m_par, out=np.zeros_like(m_union), where=m_par > 0)
     np.subtract(full, product, out=product)
     np.abs(product, out=product)
-    return bool(np.all((product <= tol) | skip))
+    return bool(product.max() <= tol)
 
 
 class _ProviderBase:

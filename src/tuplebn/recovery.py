@@ -44,8 +44,9 @@ class ProviderCiDecider:
     """Threshold decider over a marginal provider.
 
     Judges dependence via the cross-multiplied statistic; ``threshold`` is
-    both the dependence cutoff and the context-mass skip level. Decisions
-    are cached, and every query stays within the provider's tuple budget.
+    both the dependence cutoff and the context-mass skip level. Every query
+    stays within the provider's tuple budget. Decisions are not cached: a
+    search seldom repeats one, and the provider caches the tables behind it.
     """
 
     def __init__(self, provider, threshold: float):
@@ -53,16 +54,9 @@ class ProviderCiDecider:
             raise ValueError(f"threshold must be > 0, got {threshold}")
         self.provider = provider
         self.threshold = float(threshold)
-        self._cache: dict[tuple, bool] = {}
 
     def decide(self, X, L, K) -> bool:
-        key = (tuple(sorted(X)), tuple(sorted(L)), tuple(sorted(K)))
-        hit = self._cache.get(key)
-        if hit is None:
-            stat = dependence_statistic(self.provider, *key, skip_below=self.threshold)
-            hit = stat <= self.threshold
-            self._cache[key] = hit
-        return hit
+        return dependence_statistic(self.provider, X, L, K, skip_below=self.threshold) <= self.threshold
 
 
 def exact_ci_decider(joint: JointTable, delta: int) -> ProviderCiDecider:
@@ -216,24 +210,13 @@ def attach_cpts(skeleton: Skeleton, provider) -> AttachResult:
     for j in range(1, skeleton.n + 1):
         ps = skeleton.parents[j - 1]
         d_j = cards[j - 1]
-        if ps:
-            union = tuple(sorted((*ps, j)))
-            parent_dims = tuple(cards[p - 1] for p in ps)
-            n_cfg = int(np.prod(parent_dims)) if parent_dims else 1
-            # j exceeds every parent, so it is the last axis of the union table
-            joint_rows = provider.table(union).reshape(n_cfg, d_j)
-            mass = provider.table(ps).reshape(n_cfg)
-        else:
-            n_cfg = 1
-            joint_rows = provider.table((j,)).reshape(1, d_j)
-            mass = np.ones(1)
-        rows = np.empty((n_cfg, d_j))
-        for cfg in range(n_cfg):
-            if mass[cfg] > 0:
-                rows[cfg] = joint_rows[cfg] / mass[cfg]
-            else:
-                rows[cfg] = np.full(d_j, 1.0 / d_j)
-                flagged.append((j, cfg))
+        # j exceeds every parent, so it is the last axis of the union table
+        joint_rows = provider.table((*ps, j)).reshape(-1, d_j)
+        mass = provider.table(ps).reshape(-1) if ps else np.ones(1)
+        live = mass > 0
+        rows = np.full(joint_rows.shape, 1.0 / d_j)
+        np.divide(joint_rows, mass[:, None], out=rows, where=live[:, None])
+        flagged.extend((j, int(cfg)) for cfg in np.flatnonzero(~live))
         cpts.append(rows)
     dag = DiscreteDag(skeleton.n, cards, skeleton.delta, skeleton.parents, cpts)
     return AttachResult(dag, tuple(flagged))

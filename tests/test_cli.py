@@ -259,17 +259,32 @@ def only_error_line(capsys) -> str:
 
 
 def test_sample_names_malformed_dag_field(tmp_path, chain_dag, capsys):
+    # a field of the wrong type is named; a fraction is not truncated
+    for field, value in (("parents", 5), ("delta", 1.5)):
+        data = dag_to_dict(chain_dag)
+        data[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = run(["sample", "--dag", str(bad), "--l", "10", "--seed", "1", "--output", str(tmp_path / "s.csv")])
+        assert code == EXIT_USAGE
+        assert f"'{field}'" in only_error_line(capsys)
+
+
+def test_sample_rejects_nan_probabilities(tmp_path, chain_dag, capsys):
     data = dag_to_dict(chain_dag)
-    data["parents"] = 5
-    bad = tmp_path / "bad.json"
+    data["cpts"][1][1] = [math.nan, math.nan]
+    bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(data))
     code = run(["sample", "--dag", str(bad), "--l", "10", "--seed", "1", "--output", str(tmp_path / "s.csv")])
     assert code == EXIT_USAGE
-    assert "'parents'" in only_error_line(capsys)
+    assert "node 2: probability out of [0,1]" in only_error_line(capsys)
+    assert not (tmp_path / "s.csv").exists()
 
 
+# integer fields refuse a fraction or a bool instead of truncating it
 @pytest.mark.parametrize("field, value", [
     ("n", None), ("sample_sizes", 10), ("cards", [2, None, 2]), ("output_dir", None),
+    ("n", 3.7), ("sample_sizes", [100.9]), ("trials", True),
 ])
 def test_experiment_names_malformed_config_field(tmp_path, capsys, field, value):
     cfg = {

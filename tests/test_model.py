@@ -92,9 +92,10 @@ def test_factorized_joint_chain_corner_values(chain_joint):
 
 
 def test_factorized_joint_capacity_guard():
-    dag = random_dag(8, 1, (2,) * 8, seed=0)
-    with pytest.raises(CapacityError):
-        factorized_joint(dag, capacity=100)
+    # 2**25 entries is above JOINT_CAPACITY; the guard fires before allocating
+    dag = random_dag(25, 1, (2,) * 25, seed=0)
+    with pytest.raises(CapacityError, match=str(2**25)):
+        factorized_joint(dag)
 
 
 def test_joint_table_validates_mass():
@@ -102,6 +103,10 @@ def test_joint_table_validates_mass():
         JointTable((2,), np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         JointTable((2,), np.array([1.2, -0.2]))
+    with pytest.raises(ValueError, match="non-negative"):
+        JointTable((2,), np.array([np.nan, np.nan]))
+    with pytest.raises(ValueError, match="sum to"):
+        JointTable((2,), np.array([np.inf, 0.0]))
 
 
 @pytest.mark.parametrize("n,delta,d", [(1, 0, 2), (4, 0, 3), (6, 1, 2), (10, 2, 3), (5, 4, 2)])
@@ -157,6 +162,18 @@ def test_load_dag_validates(tmp_path, chain_dag):
     path.write_text(json.dumps(data))
     with pytest.raises(InvalidDagError, match="parent index"):
         load_dag(path)
+
+
+def test_load_dag_rejects_nan_probabilities(tmp_path, chain_dag):
+    data = dag_to_dict(chain_dag)
+    data["cpts"][1][1] = [math.nan, math.nan]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InvalidDagError, match="node 2: probability out of") as exc:
+        load_dag(path)
+    assert {(v.node, v.rule) for v in exc.value.violations} == {
+        (2, "probability out of [0,1]"), (2, "cpt row does not sum to 1"),
+    }
 
 
 def test_dag_json_is_plain_data(tmp_path):
