@@ -1,4 +1,12 @@
-"""Sampling, tuple-frequency tables, and the empirical marginal provider."""
+"""Sampling, tuple-frequency tables, and the empirical marginal provider.
+
+``tuple_frequencies`` counts every size-k position set over the sample's
+distinct rows rather than over all l rows: sampled rows repeat heavily (an
+n=12, d=2 sample of 1e5 rows has about 2.2k distinct rows), so the rows are
+sorted once and each position set then costs one Horner step and one
+weighted ``np.bincount`` over the distinct rows. See ``tuple_frequencies``
+for why the weighted sums are exact and for the input where it loses.
+"""
 
 from __future__ import annotations
 
@@ -19,6 +27,11 @@ from .oracle import _ProviderBase
 _SAMPLE_CHUNK = 65536
 
 
+class InvalidSamplesError(ValueError):
+    """A sample matrix or samples file that cannot hold valid records; the
+    message names the bad input."""
+
+
 class SampleMatrix:
     """l observed records over n ordered discrete variables.
 
@@ -29,16 +42,20 @@ class SampleMatrix:
 
     def __init__(self, cards, rows):
         self.cards = tuple(int(c) for c in cards)
-        if any(c < 1 for c in self.cards):
-            raise ValueError(f"cardinalities must be >= 1, got {self.cards}")
+        for j, c in enumerate(self.cards, 1):
+            if c < 1:
+                raise InvalidSamplesError(f"cardinality of x{j} must be >= 1, got {c}")
         arr = np.asarray(rows)
         if not np.issubdtype(arr.dtype, np.integer):
-            raise ValueError(f"sample values must be integers, got dtype {arr.dtype}")
+            raise InvalidSamplesError(f"sample values must be integers, got dtype {arr.dtype}")
         if arr.ndim != 2 or arr.shape[1] != len(self.cards):
-            raise ValueError(f"rows must be (l, {len(self.cards)}), got {arr.shape}")
+            raise InvalidSamplesError(f"rows must be (l, {len(self.cards)}), got {arr.shape}")
         # checked before narrowing, where an out-of-range value could wrap into range
         if arr.size and (arr.min() < 0 or np.any(arr >= np.asarray(self.cards))):
-            raise ValueError("sample values out of range for their cardinalities")
+            row, j = np.argwhere((arr < 0) | (arr >= np.asarray(self.cards)))[0]
+            raise InvalidSamplesError(
+                f"sample value {arr[row, j]} of x{j + 1} in row {row + 1} out of range for cardinality {self.cards[j]}"
+            )
         arr = np.asfortranarray(arr, dtype=np.min_scalar_type(max(self.cards, default=1) - 1))
         arr.flags.writeable = False
         self.rows = arr
@@ -144,15 +161,63 @@ def sample(dag: DiscreteDag, l: int, seed) -> SampleMatrix:
     return SampleMatrix(dag.cards, rows)
 
 
+def _distinct_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``rows`` as an (n, m) array of its dtype, one
+    variable per row, and the multiplicity of each as float64 weights.
+
+    One ``np.lexsort`` orders the rows; consecutive sorted rows are then
+    compared a column and a ``_SAMPLE_CHUNK`` block at a time, so beyond the
+    l-entry sort order no temporary grows with l. No packed row code is
+    formed, so any n and cardinalities work.
+    """
+    l = rows.shape[0]
+    order = np.lexsort(rows.T)
+    starts = [np.zeros(min(l, 1), dtype=np.intp)]
+    for a in range(1, l, _SAMPLE_CHUNK):
+        block = order[a - 1 : a + _SAMPLE_CHUNK]
+        new = np.zeros(block.size - 1, dtype=bool)
+        for column in rows.T:
+            values = column[block]
+            new |= values[1:] != values[:-1]
+        starts.append(np.flatnonzero(new) + a)
+    starts = np.concatenate(starts)
+    return rows.T[:, order[starts]], np.diff(starts, append=l).astype(np.float64)
+
+
 def tuple_frequencies(samples: SampleMatrix, k: int) -> FrequencyTable:
-    """Counts of every k-tuple cylinder, one array per position set."""
+    """Counts of every k-tuple cylinder, one array per position set.
+
+    The count is taken over the sample's m distinct rows, each weighted by
+    its multiplicity. Position sets are walked in ``itertools.combinations``
+    order, which keeps the Horner code of every shared prefix: a set costs
+    one multiply-add and one weighted ``np.bincount`` over m rows. The
+    float64 sums are exact, since every partial sum is an integer of at
+    most l < 2**53. The sort is not amortised when nearly every row is
+    distinct and the sets are few: on a 2-core Xeon, the 20 position sets
+    (n=6, k=3) of 2e5 all-distinct rows of cardinality 40 take 36-51 ms,
+    against 20-24 ms for a Horner code of all l rows per set.
+    """
     if not 1 <= k <= samples.n:
         raise ValueError(f"k must be in 1..{samples.n}, got {k}")
+    distinct, weights = _distinct_rows(samples.rows)
+    # codes[j]: Horner code of the current set's first j+1 positions, in
+    # intp (a narrow column multiplied by a stride would wrap)
+    codes = np.empty((k, distinct.shape[1]), dtype=np.intp)
+    prev = ()
     counts = {}
     for pos in itertools.combinations(range(1, samples.n + 1), k):
-        dims = tuple(samples.cards[p - 1] for p in pos)
-        codes = _tuple_codes(samples.rows, [p - 1 for p in pos], dims)
-        counts[pos] = np.bincount(codes, minlength=math.prod(dims))
+        j = 0
+        while j < len(prev) and prev[j] == pos[j]:
+            j += 1
+        for j in range(j, k):
+            if j:
+                np.multiply(codes[j - 1], samples.cards[pos[j] - 1], out=codes[j])
+                codes[j] += distinct[pos[j] - 1]
+            else:
+                codes[0] = distinct[pos[0] - 1]
+        size = math.prod(samples.cards[p - 1] for p in pos)
+        counts[pos] = np.bincount(codes[-1], weights=weights, minlength=size).astype(np.int64)
+        prev = pos
     return FrequencyTable(k, samples.l, samples.cards, counts)
 
 
@@ -216,24 +281,28 @@ def save_samples(samples: SampleMatrix, path) -> None:
 
 def load_samples(path, cards=None) -> SampleMatrix:
     """Read the CSV form; cardinalities are inferred as max+1 per column
-    unless given explicitly."""
-    with open(path, newline="") as f:
-        header = next(csv.reader([f.readline()]), [])
-        if not header or not all(h.strip().startswith("x") for h in header):
-            raise ValueError(f"malformed samples header: {header}")
-        body = f.tell()
-        if any(line.strip() for line in iter(f.readline, "")):
-            f.seek(body)
-            arr = np.loadtxt(f, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
-        else:  # loadtxt only warns on a file without records
-            arr = np.zeros((0, len(header)), dtype=np.int64)
-    if arr.shape[1] != len(header):
-        raise ValueError(f"malformed samples file: {arr.shape[1]} columns under a {len(header)}-column header")
-    if cards is None:
-        if arr.shape[0] == 0:
-            raise ValueError("cannot infer cardinalities from an empty sample file")
-        cards = tuple(int(c) for c in arr.max(axis=0) + 1)
-    return SampleMatrix(cards, arr)
+    unless given explicitly. A file that does not hold valid records raises
+    InvalidSamplesError naming the file."""
+    try:
+        with open(path, newline="") as f:
+            header = next(csv.reader([f.readline()]), [])
+            if not header or not all(h.strip().startswith("x") for h in header):
+                raise ValueError(f"malformed header: {header}")
+            body = f.tell()
+            if any(line.strip() for line in iter(f.readline, "")):
+                f.seek(body)
+                arr = np.loadtxt(f, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+            else:  # loadtxt only warns on a file without records
+                arr = np.zeros((0, len(header)), dtype=np.int64)
+        if arr.shape[1] != len(header):
+            raise ValueError(f"{arr.shape[1]} columns under a {len(header)}-column header")
+        if cards is None:
+            if arr.shape[0] == 0:
+                raise ValueError("cannot infer cardinalities from an empty sample file")
+            cards = tuple(int(c) for c in arr.max(axis=0) + 1)
+        return SampleMatrix(cards, arr)
+    except ValueError as exc:
+        raise InvalidSamplesError(f"samples file {path}: {exc}") from None
 
 
 def frequencies_to_dict(freq: FrequencyTable) -> dict:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .estimation import EmpiricalMarginalProvider, sample, tuple_frequencies
-from .model import _integer, _integers, _read_field, factorized_joint, random_dag
+from .model import _integer, _integers, _read_field, _real, factorized_joint, random_dag
 from .oracle import is_markov_relative, marginal
 from .recovery import ModelViolationError, attach_cpts, empirical_ci_decider, recover_structure
 from .vcbounds import required_sample_size, risk_bound, vc_upper_bound
@@ -55,15 +55,15 @@ _CONFIG_FIELDS = {
     "cards": (_integers, None),
     "d": (_integer, None),
     "delta": (_integer, _REQUIRED),
-    "alpha": (float, 1.0),
-    "floor": (float, 0.01),
+    "alpha": (_real, 1.0),
+    "floor": (_real, 0.01),
     "sample_sizes": (_integers, _REQUIRED),
-    "epsilon": (float, _REQUIRED),
-    "delta_risk": (float, _REQUIRED),
+    "epsilon": (_real, _REQUIRED),
+    "delta_risk": (_real, _REQUIRED),
     "trials": (_integer, _REQUIRED),
     "seed": (_integer, _REQUIRED),
     "output_dir": (_string, _REQUIRED),
-    "markov_tol": (float, 1e-2),
+    "markov_tol": (_real, 1e-2),
 }
 
 

@@ -291,6 +291,14 @@ def _integer(value) -> int:
     return value
 
 
+def _real(value) -> float:
+    """``value`` as a float if it is a JSON number, an integer or a float;
+    a bool or a string raises TypeError rather than being parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _integers(values) -> tuple[int, ...]:
     return tuple(_integer(v) for v in values)
 

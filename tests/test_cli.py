@@ -281,10 +281,12 @@ def test_sample_rejects_nan_probabilities(tmp_path, chain_dag, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
-# integer fields refuse a fraction or a bool instead of truncating it
+# integer fields refuse a fraction or a bool instead of truncating it, and
+# real fields refuse a bool or a string instead of parsing it
 @pytest.mark.parametrize("field, value", [
     ("n", None), ("sample_sizes", 10), ("cards", [2, None, 2]), ("output_dir", None),
     ("n", 3.7), ("sample_sizes", [100.9]), ("trials", True),
+    ("epsilon", "0.01"), ("alpha", True), ("markov_tol", "1e-2"),
 ])
 def test_experiment_names_malformed_config_field(tmp_path, capsys, field, value):
     cfg = {

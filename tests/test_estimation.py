@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tuplebn import (
     DiscreteDag,
     FrequencyTable,
+    InvalidSamplesError,
     SampleMatrix,
     EmpiricalMarginalProvider,
     ExactMarginalProvider,
@@ -259,6 +260,21 @@ def test_load_samples_header_only(tmp_path):
         load_samples(path)
     s = load_samples(path, cards=(2, 3))
     assert s.l == 0 and s.cards == (2, 3)
+
+
+def test_invalid_samples_error_names_the_input(tmp_path):
+    with pytest.raises(InvalidSamplesError, match="value 2 of x2 in row 3"):
+        SampleMatrix((2, 2), [[0, 1], [1, 1], [1, 2]])
+    with pytest.raises(InvalidSamplesError, match="x3 must be >= 1"):
+        SampleMatrix((2, 2, 0), np.zeros((0, 3), dtype=np.int64))
+    path = tmp_path / "rows.csv"
+    for body in ("x1,x2\n0,1\n1.5,0\n", "x1,x2\n0,1\n1\n", "x1,x2\n0,1,1\n", "y1,y2\n0,1\n"):
+        path.write_text(body)
+        with pytest.raises(InvalidSamplesError, match="rows.csv"):
+            load_samples(path)
+    path.write_text("x1,x2\n0,1\n1,0\n")
+    with pytest.raises(InvalidSamplesError, match="rows.csv: sample value 1 of x2 in row 1"):
+        load_samples(path, cards=(2, 1))
 
 
 def valid_frequency_dict():

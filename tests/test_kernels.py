@@ -3,13 +3,14 @@ tuple_frequencies."""
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from tuplebn import SampleMatrix, estimation, sample, tuple_frequencies
-from tuplebn.estimation import _inverse_cdf
+from tuplebn import SampleMatrix, estimation, random_dag, sample, tuple_frequencies
+from tuplebn.estimation import _SAMPLE_CHUNK, _inverse_cdf
 
 
 def test_sample_node_boundary_uniform():
@@ -60,3 +61,80 @@ def test_sample_rows_do_not_depend_on_chunk(monkeypatch, chain_dag):
     whole = sample(chain_dag, 1000, seed=4)
     monkeypatch.setattr(estimation, "_SAMPLE_CHUNK", 7)
     assert sample(chain_dag, 1000, seed=4) == whole
+
+
+def per_set_counts(samples, k):
+    """The per-set count that tuple_frequencies replaced, kept as the
+    reference: a Horner code of all l rows and an np.bincount per set."""
+    counts = {}
+    for pos in itertools.combinations(range(1, samples.n + 1), k):
+        dims = tuple(samples.cards[p - 1] for p in pos)
+        code = samples.rows[:, pos[0] - 1].astype(np.intp)
+        for p, d in zip(pos[1:], dims[1:]):
+            code *= d
+            code += samples.rows[:, p - 1]
+        counts[pos] = np.bincount(code, minlength=math.prod(dims))
+    return counts
+
+
+def random_rows(cards, l, seed):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.integers(0, c, size=l) for c in cards])
+
+
+def every_row_distinct(cards):
+    rows = np.array(list(itertools.product(*(range(c) for c in cards))))
+    return np.random.default_rng(1).permutation(rows)
+
+
+EQUIVALENCE_CASES = {
+    "card-1-variables": ((1, 3, 1, 2, 1), random_rows((1, 3, 1, 2, 1), 400, 0)),
+    "uint16-cards": ((300, 2, 5, 300), random_rows((300, 2, 5, 300), 2000, 1)),
+    "no-rows": ((2, 3, 2), np.zeros((0, 3), dtype=np.int64)),
+    "one-row": ((2, 3, 2), np.array([[1, 2, 0]])),
+    "chunk-plus-7-rows": ((3, 2, 4, 2), random_rows((3, 2, 4, 2), _SAMPLE_CHUNK + 7, 2)),
+    "chunk-plus-7-distinct-rows": ((40,) * 4, random_rows((40,) * 4, _SAMPLE_CHUNK + 7, 3)),
+    "every-row-identical": ((2, 3, 4), np.tile([1, 0, 3], (500, 1))),
+    "every-row-distinct": ((3, 2, 4, 3), every_row_distinct((3, 2, 4, 3))),
+}
+
+
+@pytest.mark.parametrize("chunk", [7, _SAMPLE_CHUNK], ids=["chunk-7", "default-chunk"])
+@pytest.mark.parametrize("name", list(EQUIVALENCE_CASES))
+def test_tuple_frequencies_matches_per_set_count(monkeypatch, name, chunk):
+    monkeypatch.setattr(estimation, "_SAMPLE_CHUNK", chunk)
+    cards, rows = EQUIVALENCE_CASES[name]
+    s = SampleMatrix(cards, rows)
+    for k in sorted({1, 2, s.n}):
+        counted = tuple_frequencies(s, k).counts
+        expected = per_set_counts(s, k)
+        assert list(counted) == list(expected)
+        for pos, arr in counted.items():
+            assert arr.dtype == expected[pos].dtype == np.int64
+            assert not arr.flags.writeable
+            assert np.array_equal(arr, expected[pos])
+        if s.l == 0:
+            assert all(not arr.any() for arr in counted.values())
+
+
+def test_tuple_frequencies_matches_per_set_count_at_every_k():
+    s = sample(random_dag(6, 2, (2, 3, 1, 2, 4, 2), seed=5), 3000, seed=6)
+    for k in range(1, s.n + 1):
+        counted = tuple_frequencies(s, k).counts
+        expected = per_set_counts(s, k)
+        assert list(counted) == list(expected)
+        assert all(np.array_equal(counted[pos], expected[pos]) for pos in expected)
+
+
+def test_tuple_frequencies_peak_memory_per_row():
+    # the sort order takes 8 bytes a row; a sorted copy of the whole
+    # sample, or a Horner code of all rows per set, would pass 12
+    s = SampleMatrix((3,) * 8, random_rows((3,) * 8, 200_000, 7))
+    tracemalloc.start()
+    try:
+        freq = tuple_frequencies(s, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = sum(arr.nbytes for arr in freq.counts.values())
+    assert peak < 12 * s.l + tables
