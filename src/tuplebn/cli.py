@@ -66,6 +66,14 @@ def _parse_cards(text: str) -> tuple[int, ...]:
         raise ValueError(f"cards must be comma-separated integers, got {text!r}")
 
 
+def _seed(text: str) -> int:
+    """A seed for ``np.random.default_rng``, which refuses a negative one
+    with a message that names no option."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_value_pairs(text: str) -> tuple[tuple[int, int], ...]:
     pairs = []
     for item in text.split(","):
@@ -220,14 +228,14 @@ def build_parser() -> _Parser:
     p.add_argument("--cards", help="per-variable cardinalities, e.g. 2,3,2")
     p.add_argument("--alpha", type=float, default=1.0, help="CPT row concentration")
     p.add_argument("--floor", type=float, default=0.01, help="minimum CPT entry")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("sample", help="draw records from a network into CSV")
     p.add_argument("--dag", required=True, help="network JSON file")
     p.add_argument("--l", type=int, required=True, help="number of records")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_sample)
 

@@ -14,6 +14,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,13 +131,14 @@ class FrequencyTable:
 
     def dense_counts(self, positions) -> np.ndarray:
         """The stored read-only counts of a size-k position set; any other
-        positions (wrong size, unsorted or out of range) raise ValueError."""
-        pos = tuple(int(p) for p in positions)
+        positions (wrong size, unsorted, out of range or not integers)
+        raise ValueError."""
         try:
-            return self.counts[pos]
-        except KeyError:
+            return self.counts[tuple(map(operator.index, positions))]
+        except (KeyError, TypeError):
             raise ValueError(
-                f"dense_counts wants {self.k} strictly increasing positions in 1..{self.n}, got {pos}"
+                f"dense_counts wants {self.k} strictly increasing integer positions in 1..{self.n},"
+                f" got {positions!r}"
             ) from None
 
 
@@ -316,49 +318,8 @@ def frequencies_to_dict(freq: FrequencyTable) -> dict:
     return {"k": freq.k, "l": freq.l, "cards": list(freq.cards), "counts": entries}
 
 
-def frequencies_from_dict(data: dict) -> FrequencyTable:
-    """Inverse of frequencies_to_dict. Raises ValueError naming the first
-    entry a count table over ``cards`` cannot hold, or the first position
-    set whose counts do not total ``l``."""
-    k, l = int(data["k"]), int(data["l"])
-    cards = tuple(int(c) for c in data["cards"])
-    n = len(cards)
-    if not 1 <= k <= n:
-        raise ValueError(f"frequency table k={k} outside 1..{n}")
-    counts = {
-        pos: np.zeros(math.prod(cards[p - 1] for p in pos), dtype=np.int64)
-        for pos in itertools.combinations(range(1, n + 1), k)
-    }
-    seen = set()  # a duplicate of a 0-count entry leaves no trace in the arrays
-    for e in data["counts"]:
-        pos = tuple(int(p) for p in e["positions"])
-        values = tuple(int(v) for v in e["values"])
-        count = int(e["count"])
-        if pos not in counts:
-            raise ValueError(f"frequency entry {e}: positions must be {k} strictly increasing values in 1..{n}")
-        dims = tuple(cards[p - 1] for p in pos)
-        if len(values) != k or any(not 0 <= v < d for v, d in zip(values, dims)):
-            raise ValueError(f"frequency entry {e}: values must be {k} values in range for cardinalities {cards}")
-        if count < 0:
-            raise ValueError(f"frequency entry {e}: negative count")
-        if (pos, values) in seen:
-            raise ValueError(f"frequency entry {e}: duplicate key")
-        seen.add((pos, values))
-        counts[pos][np.ravel_multi_index(values, dims)] = count
-    for pos, arr in counts.items():
-        total = int(arr.sum())
-        if total != l:
-            raise ValueError(f"frequency counts at positions {pos} total {total}, not l={l}")
-    return FrequencyTable(k, l, cards, counts)
-
-
 def save_frequencies(freq: FrequencyTable, path) -> None:
-    """JSON with counts sorted by (positions, values); round-trips exactly."""
+    """JSON with counts sorted by (positions, values)."""
     with open(path, "w") as f:
         json.dump(frequencies_to_dict(freq), f, indent=2)
         f.write("\n")
-
-
-def load_frequencies(path) -> FrequencyTable:
-    with open(path) as f:
-        return frequencies_from_dict(json.load(f))

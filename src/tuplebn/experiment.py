@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ValueError("epsilon and delta_risk must be in (0,1)")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"config field 'seed' must be >= 0, got {self.seed}")
         if self.markov_tol <= 0:
             raise ValueError(f"markov_tol must be > 0, got {self.markov_tol}")
 

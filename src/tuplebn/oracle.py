@@ -18,6 +18,7 @@ independence decision, for exact and empirical marginals alike.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,17 @@ class AccessLog:
             self.max_size = size
 
 
+def _integer_positions(positions) -> tuple[int, ...]:
+    """``positions`` as ints; numpy integers pass, and a float raises a
+    ValueError naming the positions rather than being truncated."""
+    try:
+        return tuple(map(operator.index, positions))
+    except TypeError:
+        raise ValueError(f"positions must be integers, got {positions!r}") from None
+
+
 def _check_positions(positions, n) -> tuple[int, ...]:
-    pos = tuple(int(p) for p in positions)
+    pos = _integer_positions(positions)
     if not pos:
         raise ValueError("positions must be nonempty")
     if any(b <= a for a, b in zip(pos, pos[1:])):
@@ -88,7 +98,7 @@ def _disjoint_sorted(*groups):
     seen = set()
     out = []
     for g in groups:
-        t = tuple(sorted(int(p) for p in g))
+        t = tuple(sorted(_integer_positions(g)))
         if seen & set(t):
             raise ValueError(f"index sets must be pairwise disjoint: {groups}")
         seen |= set(t)

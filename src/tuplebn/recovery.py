@@ -87,9 +87,6 @@ class Skeleton:
     delta: int
     parents: tuple[tuple[int, ...], ...]
 
-    def max_in_degree(self) -> int:
-        return max((len(p) for p in self.parents), default=0)
-
 
 @dataclass(frozen=True)
 class RemovalStep:
@@ -113,22 +110,6 @@ class RecoveryTrace:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecoveryTrace":
-        trace = cls()
-        for t in data["nodes"]:
-            trace.nodes.append(
-                NodeTrace(
-                    node=t["node"],
-                    m=t["m"],
-                    tested=[tuple(k) for k in t["tested"]],
-                    accepted=tuple(t["accepted"]) if t["accepted"] is not None else None,
-                    removals=[RemovalStep(s["removed"], s["kept"]) for s in t["removals"]],
-                    parents=tuple(t["parents"]),
-                )
-            )
-        return trace
 
 
 def _passes_battery(decider: CiDecider, j: int, cond: tuple[int, ...], m: int) -> bool:

@@ -23,32 +23,6 @@ from typing import NamedTuple
 SEARCH_CAP = 2**40
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Parameter bundle for the bound computations.
-
-    eps*l > 1 is not enforced here; the solvers restrict their searches to
-    that region because the deviation term (eps - 1/l)^2 is only meaningful
-    with eps - 1/l positive.
-    """
-
-    n: int
-    k: int
-    d: int
-    epsilon: float
-    delta_risk: float
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must be in (0,1), got {self.epsilon}")
-        if not 0 < self.delta_risk < 1:
-            raise ValueError(f"delta_risk must be in (0,1), got {self.delta_risk}")
-
-
 class CylinderCount(NamedTuple):
     exact: int
     crude: int
@@ -138,16 +112,20 @@ def required_sample_size(n: int, k: int, d: int, epsilon: float, delta_risk: flo
 
     l_suff satisfies l/(1+ln(2l)) * (eps-1/l)^2/2 >= k*log2(nd) and l_risk
     satisfies risk_bound(k*log2(nd), l, eps) < delta_risk; in both cases
-    l - 1 fails. Searches are restricted to eps*l > 1.
+    l - 1 fails. eps*l > 1 is not required of the inputs: both searches
+    restrict to that region, because the deviation term (eps - 1/l)^2 is
+    only meaningful with eps - 1/l positive.
     """
-    BoundInputs(n, k, d, epsilon, delta_risk)  # domain check
-    target = k * math.log2(n * d)
     h = vc_upper_bound(n, k, d)
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
+    if not 0 < delta_risk < 1:
+        raise ValueError(f"delta_risk must be in (0,1), got {delta_risk}")
 
     def suff(l: int) -> bool:
         if epsilon * l <= 1.0:
             return False
-        return l / (1.0 + math.log(2.0 * l)) * (epsilon - 1.0 / l) ** 2 / 2.0 >= target
+        return l / (1.0 + math.log(2.0 * l)) * (epsilon - 1.0 / l) ** 2 / 2.0 >= h
 
     def risk(l: int) -> bool:
         if epsilon * l <= 1.0:
@@ -272,17 +250,6 @@ def witness_to_dict(witness: ShatterWitness) -> dict:
     }
 
 
-def witness_from_dict(data: dict) -> ShatterWitness:
-    return ShatterWitness(
-        int(data["n"]),
-        int(data["k"]),
-        int(data["l_points"]),
-        tuple(tuple(int(v) for v in row) for row in data["matrix"]),
-        tuple((int(a), int(b)) for a, b in data["value_pairs"]),
-        tuple(tuple(int(v) for v in p) for p in data["points"]),
-    )
-
-
 def verify_result_to_dict(result: VerifyResult) -> dict:
     return {
         "ok": result.ok,
@@ -301,34 +268,8 @@ def verify_result_to_dict(result: VerifyResult) -> dict:
     }
 
 
-def verify_result_from_dict(data: dict) -> VerifyResult:
-    certs = tuple(
-        Certificate(
-            int(c["subset_index"]),
-            tuple(int(v) for v in c["indicator"]),
-            int(c["column"]),
-            tuple(int(v) for v in c["positions"]),
-            tuple(int(v) for v in c["values"]),
-            tuple(int(v) for v in c["members"]),
-        )
-        for c in data["certificates"]
-    )
-    failing = data["failing_subset"]
-    return VerifyResult(
-        bool(data["ok"]),
-        certs,
-        tuple(int(v) for v in failing) if failing is not None else None,
-    )
-
-
 def save_witness(witness: ShatterWitness, result: VerifyResult, path) -> None:
     """Witness plus its verification outcome in one JSON document."""
     with open(path, "w") as f:
         json.dump({"witness": witness_to_dict(witness), "verification": verify_result_to_dict(result)}, f, indent=2)
         f.write("\n")
-
-
-def load_witness(path) -> tuple[ShatterWitness, VerifyResult]:
-    with open(path) as f:
-        data = json.load(f)
-    return witness_from_dict(data["witness"]), verify_result_from_dict(data["verification"])

@@ -2,17 +2,23 @@ import tuplebn
 
 # Wrappers and test-only helpers that the one decision path
 # (ProviderCiDecider over ExactMarginalProvider / EmpiricalMarginalProvider)
-# replaced.
+# replaced, and the readers of output-only JSON (frequency, witness) with
+# the parameter bundle only required_sample_size built.
 REMOVED = (
+    "BoundInputs",
     "MarginalTable",
     "conditional_independent",
     "empirical_ci_test",
     "empirical_provider",
     "exact_provider",
+    "frequencies_from_dict",
+    "load_frequencies",
     "load_trial_reports",
+    "load_witness",
     "markov_parents",
     "minimize_parent_set",
     "mixed_radix_strides",
+    "witness_from_dict",
 )
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from tuplebn import dag_to_dict, load_dag, load_samples, load_witness, save_dag
+from tuplebn import dag_to_dict, load_dag, load_samples, save_dag
 from tuplebn.cli import EXIT_MODEL_VIOLATION, EXIT_OK, EXIT_USAGE, main
 from tuplebn.experiment import ExperimentConfig, TrialReport, summarize
 
@@ -81,6 +81,19 @@ def test_sample_determinism(tmp_path):
     run(["sample", "--dag", str(net), "--l", "200", "--seed", "9", "--output", str(a)])
     run(["sample", "--dag", str(net), "--l", "200", "--seed", "9", "--output", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_seed_option_refuses_a_negative_value(tmp_path, chain_dag, capsys):
+    net = tmp_path / "chain.json"
+    save_dag(chain_dag, net)
+    commands = [
+        ["generate", "--n", "3", "--delta", "1", "--d", "2", "--seed", "-1", "--output", str(tmp_path / "g.json")],
+        ["sample", "--dag", str(net), "--l", "10", "--seed", "-1", "--output", str(tmp_path / "s.csv")],
+    ]
+    for args in commands:
+        assert run(args) == EXIT_USAGE
+        assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "g.json").exists() and not (tmp_path / "s.csv").exists()
 
 
 def test_recover_exact_chain(tmp_path, chain_dag, capsys):
@@ -163,8 +176,9 @@ def test_witness_roundtrip_and_exit(tmp_path, capsys):
     out = tmp_path / "wit.json"
     assert run(["witness", "--n", "6", "--k", "2", "--output", str(out)]) == EXIT_OK
     assert "shattered=true" in capsys.readouterr().out
-    witness, result = load_witness(out)
-    assert witness.l_points == 2 and result.ok
+    with open(out) as f:
+        data = json.load(f)
+    assert data["witness"]["l_points"] == 2 and data["verification"]["ok"] is True
 
 
 def test_usage_errors_exit_1(capsys):
@@ -286,7 +300,7 @@ def test_sample_rejects_nan_probabilities(tmp_path, chain_dag, capsys):
 @pytest.mark.parametrize("field, value", [
     ("n", None), ("sample_sizes", 10), ("cards", [2, None, 2]), ("output_dir", None),
     ("n", 3.7), ("sample_sizes", [100.9]), ("trials", True),
-    ("epsilon", "0.01"), ("alpha", True), ("markov_tol", "1e-2"),
+    ("epsilon", "0.01"), ("alpha", True), ("markov_tol", "1e-2"), ("seed", -1),
 ])
 def test_experiment_names_malformed_config_field(tmp_path, capsys, field, value):
     cfg = {

@@ -9,6 +9,7 @@ from tuplebn import (
     ExactMarginalProvider,
     ProviderCiDecider,
     TupleSizeError,
+    dependence_statistic,
     factorized_joint,
     is_markov_relative,
     marginal,
@@ -38,6 +39,25 @@ def test_marginal_rejects_bad_positions(chain_joint):
         marginal(chain_joint, (0,))
     with pytest.raises(ValueError):
         marginal(chain_joint, (4,))
+
+
+def test_fractional_positions_are_refused_not_truncated(chain_joint):
+    provider = ExactMarginalProvider(chain_joint, 3)
+    calls = [
+        lambda: marginal(chain_joint, (1.5,)),
+        lambda: provider.table((1.9, 2.2)),
+        lambda: dependence_statistic(provider, (3.5,), (1.2,), (), EXACT_TOL),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"positions must be integers, got \(\d\.\d"):
+            call()
+    assert provider.access_log.queries == 0
+    # numpy integers are integers
+    assert np.array_equal(marginal(chain_joint, (np.int64(2),)), marginal(chain_joint, (2,)))
+    assert provider.table((np.int32(1), np.uint8(3))) is provider.table((1, 3))
+    assert dependence_statistic(provider, (np.int64(3),), (np.int64(1),), (np.int64(2),), EXACT_TOL) == (
+        dependence_statistic(provider, (3,), (1,), (2,), EXACT_TOL)
+    )
 
 
 def old_marginal_probs(joint, pos):
