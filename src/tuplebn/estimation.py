@@ -10,9 +10,9 @@ for why the weighted sums are exact and for the input where it loses.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
+import logging
 import math
 import operator
 from dataclasses import dataclass, field
@@ -26,6 +26,18 @@ from .oracle import _ProviderBase
 # one stream, so the rows do not depend on this value; it bounds the
 # temporaries of a draw independently of l.
 _SAMPLE_CHUNK = 65536
+
+# Bytes read per step of ``load_samples``. A step's temporaries are a few
+# times this, whatever l is; blocks that fit the CPU cache parse fastest.
+_PARSE_BLOCK = 1 << 17
+
+# Widest field of a samples CSV: every value then fits an int64.
+_MAX_DIGITS = 18
+
+_NL, _CR, _COMMA, _ZERO = b"\n\r,0"
+
+_log = logging.getLogger(__name__)
+_log.addHandler(logging.NullHandler())
 
 
 class InvalidSamplesError(ValueError):
@@ -51,8 +63,9 @@ class SampleMatrix:
             raise InvalidSamplesError(f"sample values must be integers, got dtype {arr.dtype}")
         if arr.ndim != 2 or arr.shape[1] != len(self.cards):
             raise InvalidSamplesError(f"rows must be (l, {len(self.cards)}), got {arr.shape}")
-        # checked before narrowing, where an out-of-range value could wrap into range
-        if arr.size and (arr.min() < 0 or np.any(arr >= np.asarray(self.cards))):
+        # checked before narrowing, where an out-of-range value could wrap into
+        # range; per-column reductions keep the check free of (l, n) temporaries
+        if arr.size and (np.any(arr.min(axis=0) < 0) or np.any(arr.max(axis=0) >= np.asarray(self.cards))):
             row, j = np.argwhere((arr < 0) | (arr >= np.asarray(self.cards)))[0]
             raise InvalidSamplesError(
                 f"sample value {arr[row, j]} of x{j + 1} in row {row + 1} out of range for cardinality {self.cards[j]}"
@@ -281,28 +294,135 @@ def save_samples(samples: SampleMatrix, path) -> None:
             f.write(chars[np.take(keep, block, axis=0)].tobytes())
 
 
+def _line_blocks(f):
+    """The rest of binary file ``f`` as uint8 arrays of about ``_PARSE_BLOCK``
+    bytes that each end on a newline; a line is never split, and a last
+    line without a newline gets one."""
+    carry = b""
+    while chunk := f.read(_PARSE_BLOCK):
+        buf = carry + chunk
+        cut = buf.rfind(b"\n") + 1
+        if cut:
+            yield np.frombuffer(buf, dtype=np.uint8, count=cut)
+        carry = buf[cut:]
+    if carry:
+        yield np.frombuffer(carry + b"\n", dtype=np.uint8)
+
+
+def _records(block) -> np.ndarray:
+    """``block`` without the ``\\r`` of each ``\\r\\n`` and without blank
+    lines, so that every line is one record ending in ``\\n``. Copies only
+    a block that has either."""
+    if np.any(block == _CR):
+        crlf = np.zeros(block.size, dtype=bool)
+        crlf[:-1] = (block[:-1] == _CR) & (block[1:] == _NL)
+        block = block[~crlf]
+    nl = block == _NL
+    blank = np.empty_like(nl)
+    blank[0] = nl[0]
+    np.logical_and(nl[1:], nl[:-1], out=blank[1:])
+    return block[~blank] if blank.any() else block
+
+
+def _row_of(records, at, first_row) -> int:
+    """1-based row of byte ``at`` of ``records``, after ``first_row`` rows."""
+    return first_row + 1 + int(np.count_nonzero(records[:at] == _NL))
+
+
+def _widest_digit_run(records, first_row) -> int:
+    """Length of the longest run of digit bytes in ``records``; a run of
+    more than ``_MAX_DIGITS`` raises, naming its row."""
+    digit = (records - _ZERO) <= 9  # uint8 wraps below '0'
+    run, width = digit, 0
+    while run.any():  # some run of width + 1 digits
+        width += 1
+        if width > _MAX_DIGITS:
+            raise ValueError(
+                f"row {_row_of(records, int(np.argmax(run)), first_row)}: a value of more than {_MAX_DIGITS} digits"
+            )
+        run = run[:-1] & digit[width:]
+    return width
+
+
+def _block_values(records, n, width, dtype, first_row) -> np.ndarray:
+    """The (m, n) values of the m records of ``records``, whose fields have
+    at most ``width`` digits, read in ``dtype``.
+
+    Each field ends on a ``,`` or ``\\n`` byte; once every byte is a digit
+    or one of those and no field is empty, the byte before each separator
+    is its field's last digit. The values are then built by Horner's rule,
+    most significant digit first, a digit position at a time; a position
+    before a field's first digit adds 0.
+    """
+    nl = records == _NL
+    sep = nl | (records == _COMMA)
+    bad = ~(sep | ((records - _ZERO) <= 9))  # uint8 wraps below '0'
+    if bad.any():
+        at = int(np.argmax(bad))
+        raise ValueError(
+            f"row {_row_of(records, at, first_row)}: byte {bytes(records[at : at + 1])!r} is not a digit, ',' or line end"
+        )
+    empty = sep.copy()
+    empty[1:] &= sep[:-1]
+    if empty.any():
+        raise ValueError(f"row {_row_of(records, int(np.argmax(empty)), first_row)}: empty field")
+    last = np.flatnonzero(sep[1:])
+    m = int(np.count_nonzero(nl))
+    if last.size != m * n or not np.all(nl[last[n - 1 :: n] + 1]):
+        fields = np.diff(np.flatnonzero(nl[last + 1]), prepend=-1)
+        r = int(np.argmax(fields != n))
+        raise ValueError(f"row {first_row + r + 1}: {fields[r]} columns under a {n}-column header")
+    values = np.zeros(last.size, dtype=dtype)
+    if width > 1:
+        widths = np.diff(last, prepend=-2) - 1
+    for i in range(width - 1, -1, -1):
+        digits = records[last - i] - _ZERO
+        if i:
+            digits[widths <= i] = 0
+        values *= 10
+        values += digits
+    return values.reshape(m, n)
+
+
 def load_samples(path, cards=None) -> SampleMatrix:
     """Read the CSV form; cardinalities are inferred as max+1 per column
     unless given explicitly. A file that does not hold valid records raises
-    InvalidSamplesError naming the file."""
+    InvalidSamplesError naming the file and, for a bad record, its row.
+
+    The body is read twice in ``_PARSE_BLOCK``-byte blocks: once to count
+    the records and find the widest field, once to parse each block into
+    its rows of a preallocated column-major array. That array's dtype is
+    the smallest unsigned one that holds every number of that many digits;
+    ``SampleMatrix`` copies it only when its own dtype differs. No other
+    temporary grows with l.
+    """
     try:
-        with open(path, newline="") as f:
-            header = next(csv.reader([f.readline()]), [])
-            if not header or not all(h.strip().startswith("x") for h in header):
-                raise ValueError(f"malformed header: {header}")
+        with open(path, "rb") as f:
+            header = f.readline().decode().rstrip("\r\n").split(",")
+            bad = next((h for h in header if not h.strip().startswith("x")), None)
+            if bad is not None:
+                raise ValueError(f"malformed header: column {bad!r} does not start with x")
+            n = len(header)
             body = f.tell()
-            if any(line.strip() for line in iter(f.readline, "")):
-                f.seek(body)
-                arr = np.loadtxt(f, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
-            else:  # loadtxt only warns on a file without records
-                arr = np.zeros((0, len(header)), dtype=np.int64)
-        if arr.shape[1] != len(header):
-            raise ValueError(f"{arr.shape[1]} columns under a {len(header)}-column header")
+            l = width = 0
+            for block in _line_blocks(f):
+                records = _records(block)
+                width = max(width, _widest_digit_run(records, l))
+                l += int(np.count_nonzero(records == _NL))
+            dtype = np.min_scalar_type(10**width - 1)
+            rows = np.empty((l, n), dtype=dtype, order="F")
+            f.seek(body)
+            done = 0
+            for block in _line_blocks(f):
+                values = _block_values(_records(block), n, width, dtype, done)
+                rows[done : done + len(values)] = values
+                done += len(values)
         if cards is None:
-            if arr.shape[0] == 0:
+            if l == 0:
                 raise ValueError("cannot infer cardinalities from an empty sample file")
-            cards = tuple(int(c) for c in arr.max(axis=0) + 1)
-        return SampleMatrix(cards, arr)
+            cards = tuple(int(c) + 1 for c in rows.max(axis=0))
+            _log.info("samples file %s: cardinalities inferred as max+1 per column: %s", path, cards)
+        return SampleMatrix(cards, rows)
     except ValueError as exc:
         raise InvalidSamplesError(f"samples file {path}: {exc}") from None
 

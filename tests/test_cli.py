@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import tuplebn
 from tuplebn import dag_to_dict, load_dag, load_samples, save_dag
 from tuplebn.cli import EXIT_MODEL_VIOLATION, EXIT_OK, EXIT_USAGE, main
 from tuplebn.experiment import ExperimentConfig, TrialReport, summarize
@@ -94,6 +99,18 @@ def test_seed_option_refuses_a_negative_value(tmp_path, chain_dag, capsys):
         assert run(args) == EXIT_USAGE
         assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
     assert not (tmp_path / "g.json").exists() and not (tmp_path / "s.csv").exists()
+
+
+def test_module_entry_point_exits_with_the_cli_code(tmp_path):
+    src = str(Path(tuplebn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "g.json"
+    argv = [sys.executable, "-m", "tuplebn.cli", "generate", "--n", "3", "--delta", "1", "--d", "2", "--output", str(out)]
+    bad = subprocess.run(argv + ["--seed", "-1"], env=env, capture_output=True, text=True, timeout=60)
+    assert bad.returncode == EXIT_USAGE
+    assert "must be a non-negative integer" in bad.stderr and not out.exists()
+    good = subprocess.run(argv + ["--seed", "1"], env=env, capture_output=True, text=True, timeout=60)
+    assert good.returncode == EXIT_OK and out.exists()
 
 
 def test_recover_exact_chain(tmp_path, chain_dag, capsys):

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from tuplebn import (
     save_samples,
     tuple_frequencies,
 )
-from tuplebn.estimation import _SAMPLE_CHUNK
+from tuplebn.estimation import _PARSE_BLOCK, _SAMPLE_CHUNK
 
 
 def point_mass_dag():
@@ -259,6 +260,112 @@ def test_load_samples_header_only(tmp_path):
         load_samples(path)
     s = load_samples(path, cards=(2, 3))
     assert s.l == 0 and s.cards == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "body, rows",
+    [
+        ("x1,x2\r\n0,1\r\n1,0\r\n", [[0, 1], [1, 0]]),
+        ("x1,x2\n0,1\n1,0", [[0, 1], [1, 0]]),
+        ("x1,x2\r\n0,1\r\n1,0", [[0, 1], [1, 0]]),
+        ("x1,x2\n0,1\n\n\r\n1,0\n\n\n", [[0, 1], [1, 0]]),
+        ("x1,x2\n\n0,1\n1,0\n", [[0, 1], [1, 0]]),
+        ("x1,x2\n000,01\n10,0007\n", [[0, 1], [10, 7]]),
+    ],
+    ids=["crlf", "no-final-newline", "crlf-no-final-newline", "blank-lines", "leading-blank-line", "leading-zeros"],
+)
+def test_load_samples_accepts_the_grammar(tmp_path, body, rows):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(body.encode())
+    assert load_samples(path) == SampleMatrix(np.max(rows, axis=0) + 1, rows)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [" 1,0", "1 ,0", "1,\t0", "1\t,0", "+1,0", "-0,1", "1.,0", ".5,0", "#1,0", ",0", "1,,0", "1,0,", "1\r,0"],
+)
+def test_load_samples_rejects_a_record_outside_the_grammar(tmp_path, record):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(f"x1,x2\n0,1\n\n1,0\n{record}\n1,1\n".encode())
+    with pytest.raises(InvalidSamplesError, match="rows.csv: row 3: "):
+        load_samples(path)
+
+
+def test_load_samples_rejects_a_field_of_more_than_18_digits(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("x1,x2\n0,1\n1,000000000000000000000\n")
+    with pytest.raises(InvalidSamplesError, match="row 2: a value of more than 18 digits"):
+        load_samples(path)
+    path.write_text("x1,x2\n0,1\n1,999999999999999999\n")
+    assert load_samples(path).cards == (2, 10**18)
+
+
+def wide_samples(l, seed=0):
+    cards = (1000, 7, 300, 1, 12)
+    rows = np.random.default_rng(seed).integers(0, cards, size=(l, len(cards)))
+    rows[-1] = np.asarray(cards) - 1
+    return SampleMatrix(cards, rows)
+
+
+def test_load_samples_rows_across_parse_blocks(tmp_path):
+    s = wide_samples(3 * _PARSE_BLOCK // 10)
+    path = tmp_path / "rows.csv"
+    save_samples(s, path)
+    data = path.read_bytes()
+    body = data.index(b"\n") + 1
+    assert len(data) - body > 2 * _PARSE_BLOCK
+    # the first block's read ends inside a record, so one carries over
+    assert data[body + _PARSE_BLOCK - 1 : body + _PARSE_BLOCK] != b"\n"
+    assert load_samples(path, cards=s.cards) == s
+    assert load_samples(path) == s
+
+
+def test_load_samples_numbers_rows_across_parse_blocks(tmp_path):
+    s = wide_samples(3 * _PARSE_BLOCK // 10)
+    path = tmp_path / "rows.csv"
+    save_samples(s, path)
+    data = path.read_bytes()
+    body = data.index(b"\n") + 1
+    # ragged: the record that starts after the first block loses a field
+    start = data.index(b"\n", body + _PARSE_BLOCK) + 1
+    end = data.index(b"\n", start)
+    row = data.count(b"\n", body, start) + 1
+    path.write_bytes(data[:start] + data[start:end].rsplit(b",", 1)[0] + data[end:])
+    with pytest.raises(InvalidSamplesError, match=f"row {row}: 4 columns under a 5-column header"):
+        load_samples(path)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    cards=st.lists(st.integers(1, 1000), min_size=1, max_size=3),
+    l=st.integers(0, _PARSE_BLOCK // 2 + 1),  # a 1-digit column passes one block
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_load_samples_inverts_save_samples(tmp_path_factory, cards, l, seed):
+    rows = np.random.default_rng(seed).integers(0, cards, size=(l, len(cards)))
+    s = SampleMatrix(cards, rows)
+    path = tmp_path_factory.mktemp("rows") / "rows.csv"
+    save_samples(s, path)
+    loaded = [load_samples(path, cards=cards)] + ([load_samples(path)] if l else [])
+    for again in loaded:
+        assert np.array_equal(again.rows, s.rows)
+        assert again.rows.dtype == s.rows.dtype and again.rows.flags.f_contiguous
+    assert loaded[0].cards == s.cards
+    if l:
+        assert loaded[1].cards == tuple(int(c) + 1 for c in s.rows.max(axis=0))
+
+
+def test_load_samples_logs_inferred_cards(tmp_path, caplog, capsys):
+    path = tmp_path / "rows.csv"
+    path.write_text("x1,x2\n0,2\n1,0\n")
+    with caplog.at_level(logging.INFO, logger="tuplebn"):
+        load_samples(path, cards=(2, 3))
+        assert caplog.records == []
+        load_samples(path)
+    [record] = caplog.records
+    assert record.name == "tuplebn.estimation" and record.levelno == logging.INFO
+    assert "rows.csv" in record.getMessage() and "(2, 3)" in record.getMessage()
+    assert capsys.readouterr() == ("", "")
 
 
 def test_invalid_samples_error_names_the_input(tmp_path):
