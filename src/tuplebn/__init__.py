@@ -12,16 +12,13 @@ from .model import (
     DiscreteDag,
     InvalidDagError,
     JointTable,
-    ValidationReport,
     Violation,
     dag_from_dict,
     dag_to_dict,
     factorized_joint,
     load_dag,
     random_dag,
-    require_valid,
     save_dag,
-    validate_dag,
 )
 from .oracle import (
     EXACT_TOL,
@@ -92,16 +89,13 @@ __all__ = [
     "DiscreteDag",
     "InvalidDagError",
     "JointTable",
-    "ValidationReport",
     "Violation",
     "dag_from_dict",
     "dag_to_dict",
     "factorized_joint",
     "load_dag",
     "random_dag",
-    "require_valid",
     "save_dag",
-    "validate_dag",
     # oracle
     "EXACT_TOL",
     "AccessLog",

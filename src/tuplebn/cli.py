@@ -66,9 +66,10 @@ def _parse_cards(text: str) -> tuple[int, ...]:
         raise ValueError(f"cards must be comma-separated integers, got {text!r}")
 
 
-def _seed(text: str) -> int:
-    """A seed for ``np.random.default_rng``, which refuses a negative one
-    with a message that names no option."""
+def _non_negative(text: str) -> int:
+    """A seed or an in-degree bound, checked here so that argparse names the
+    option; the code it feeds refuses a negative one with a message that
+    names no option."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
@@ -223,19 +224,19 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="draw a random network and write it as JSON")
     p.add_argument("--n", type=int, required=True, help="number of variables")
-    p.add_argument("--delta", type=int, required=True, help="max in-degree")
+    p.add_argument("--delta", type=_non_negative, required=True, help="max in-degree")
     p.add_argument("--d", type=int, help="uniform cardinality")
     p.add_argument("--cards", help="per-variable cardinalities, e.g. 2,3,2")
     p.add_argument("--alpha", type=float, default=1.0, help="CPT row concentration")
     p.add_argument("--floor", type=float, default=0.01, help="minimum CPT entry")
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=_non_negative, required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("sample", help="draw records from a network into CSV")
     p.add_argument("--dag", required=True, help="network JSON file")
     p.add_argument("--l", type=int, required=True, help="number of records")
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=_non_negative, required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_sample)
 
@@ -251,7 +252,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dag", help="network JSON (exact mode)")
     p.add_argument("--samples", help="samples CSV (empirical mode)")
     p.add_argument("--cards", help="override inferred cardinalities (empirical mode)")
-    p.add_argument("--delta", type=int, required=True, help="assumed max in-degree")
+    p.add_argument("--delta", type=_non_negative, required=True, help="assumed max in-degree")
     p.add_argument("--epsilon", type=float, help="frequency uncertainty (empirical mode)")
     p.add_argument("--trace", help="write the per-node search trace to this JSON file")
     p.add_argument("--output", required=True)

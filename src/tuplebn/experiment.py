@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .estimation import EmpiricalMarginalProvider, sample, tuple_frequencies
-from .model import _integer, _integers, _read_field, _real, factorized_joint, random_dag
+from .model import _integer, _integers, _read_field, _real, _require_object, factorized_joint, random_dag
 from .oracle import is_markov_relative, marginal
 from .recovery import ModelViolationError, attach_cpts, empirical_ci_decider, recover_structure
 from .vcbounds import required_sample_size, risk_bound, vc_upper_bound
@@ -112,6 +112,7 @@ class ExperimentConfig:
         Cardinalities come either as "cards" (a list) or "d" (one uniform
         value), exactly one of the two.
         """
+        _require_object(data, "a config")
         unknown = sorted(set(data) - set(_CONFIG_FIELDS))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")

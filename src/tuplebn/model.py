@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ JOINT_SUM_TOL = 1e-10
 
 
 class InvalidDagError(ValueError):
-    """A DAG failed validation where a valid one is required."""
+    """A DiscreteDag was built with inputs that break its invariants."""
 
     def __init__(self, violations):
         self.violations = list(violations)
@@ -37,10 +37,9 @@ class CapacityError(ValueError):
 class DiscreteDag:
     """An ordering-consistent DAG with per-node parent sets and CPTs.
 
-    The constructor is permissive: it normalizes shapes but does not enforce
-    the structural invariants, so that :func:`validate_dag` can report
-    violations as data. Operations that require a valid DAG call
-    :func:`validate_dag` and raise :class:`InvalidDagError`.
+    The constructor normalizes shapes, then checks every structural
+    invariant and raises :class:`InvalidDagError` listing each violation,
+    so every instance is a valid network.
     """
 
     def __init__(self, n, cards, delta, parents, cpts):
@@ -56,6 +55,9 @@ class DiscreteDag:
             a.flags.writeable = False
             norm.append(a)
         self.cpts = tuple(norm)
+        bad = _violations(self)
+        if bad:
+            raise InvalidDagError(bad)
 
     def __eq__(self, other):
         if not isinstance(other, DiscreteDag):
@@ -147,14 +149,8 @@ class Violation:
         return f"{where}{self.rule} ({self.observed})"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...] = field(default_factory=tuple)
-
-
-def validate_dag(dag: DiscreteDag) -> ValidationReport:
-    """Check every structural invariant; violations are returned, not raised."""
+def _violations(dag: DiscreteDag) -> list[Violation]:
+    """Every structural invariant ``dag`` breaks, in a fixed order."""
     bad: list[Violation] = []
     if dag.n < 1:
         bad.append(Violation(None, "variable count must be >= 1", f"n={dag.n}"))
@@ -172,39 +168,39 @@ def validate_dag(dag: DiscreteDag) -> ValidationReport:
                 f"parents={len(dag.parents)}, cpts={len(dag.cpts)}, n={dag.n}",
             )
         )
-        return ValidationReport(False, tuple(bad))
+        return bad
+    if len(dag.cards) != dag.n or any(c < 1 for c in dag.cards):
+        return bad  # no CPT shape is defined without a cardinality >= 1 per node
 
     for j in range(1, dag.n + 1):
         ps = dag.parents[j - 1]
         if len(set(ps)) != len(ps):
             bad.append(Violation(j, "duplicate parent index", f"parents={ps}"))
+        n_cfg = 1
+        misordered = False
         for p in ps:
             if p < 1 or p >= j:
                 bad.append(Violation(j, "parent index >= child", f"parent={p}"))
+                misordered = True
+            else:
+                n_cfg *= dag.cards[p - 1]
         if len(ps) > dag.delta:
             bad.append(Violation(j, "in-degree exceeds bound", f"|parents|={len(ps)} > delta={dag.delta}"))
-        if any(p < 1 or p >= j for p in ps):
+        if misordered:
             continue  # CPT shape is ill-defined under an ordering violation
         cpt = dag.cpts[j - 1]
-        n_cfg = int(math.prod(dag.cards[p - 1] for p in ps))
         d_j = dag.cards[j - 1]
         if cpt.shape != (n_cfg, d_j):
             bad.append(Violation(j, "cpt shape mismatch", f"{cpt.shape} != ({n_cfg}, {d_j})"))
             continue
         # written so that a NaN fails each check; argmax picks a NaN first
-        if not np.all((cpt >= 0) & (cpt <= 1)):
-            bad.append(Violation(j, "probability out of [0,1]", f"min={cpt.min()!r}, max={cpt.max()!r}"))
+        if not (cpt.min() >= 0 and cpt.max() <= 1):
+            bad.append(Violation(j, "probability out of [0,1]", f"min={float(cpt.min())!r}, max={float(cpt.max())!r}"))
         sums = cpt.sum(axis=1)
-        worst = int(np.argmax(np.abs(sums - 1.0)))
-        if not abs(sums[worst] - 1.0) <= CPT_ROW_TOL:
-            bad.append(Violation(j, "cpt row does not sum to 1", f"row {worst} sums to {sums[worst]!r}"))
-    return ValidationReport(not bad, tuple(bad))
-
-
-def require_valid(dag: DiscreteDag) -> None:
-    report = validate_dag(dag)
-    if not report.ok:
-        raise InvalidDagError(report.violations)
+        if not (abs(sums.min() - 1.0) <= CPT_ROW_TOL and abs(sums.max() - 1.0) <= CPT_ROW_TOL):
+            worst = int(np.argmax(np.abs(sums - 1.0)))
+            bad.append(Violation(j, "cpt row does not sum to 1", f"row {worst} sums to {float(sums[worst])!r}"))
+    return bad
 
 
 def factorized_joint(dag: DiscreteDag) -> JointTable:
@@ -212,7 +208,6 @@ def factorized_joint(dag: DiscreteDag) -> JointTable:
 
     Guarded by ``JOINT_CAPACITY`` on the number of dense entries.
     """
-    require_valid(dag)
     total = math.prod(dag.cards)
     if total > JOINT_CAPACITY:
         raise CapacityError(
@@ -303,6 +298,12 @@ def _integers(values) -> tuple[int, ...]:
     return tuple(_integer(v) for v in values)
 
 
+def _require_object(data, what: str) -> None:
+    """A ValueError unless ``data`` is the mapping a JSON object parses to."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must hold a JSON object, got {type(data).__name__}")
+
+
 def _read_field(data: dict, key: str, convert, what: str):
     """``convert(data[key])``, with a TypeError or ValueError raised as a
     ValueError that names the field of ``what``."""
@@ -322,8 +323,9 @@ _DAG_FIELDS = {
 
 
 def dag_from_dict(data: dict) -> DiscreteDag:
-    """Inverse of dag_to_dict. Does not validate the structure, but a field
-    of the wrong type raises ValueError naming the field."""
+    """Inverse of dag_to_dict. A field of the wrong type raises ValueError
+    naming the field; an invalid network raises InvalidDagError."""
+    _require_object(data, "a DAG file")
     missing = set(_DAG_FIELDS) - set(data)
     if missing:
         raise ValueError(f"DAG file missing fields: {sorted(missing)}")
@@ -338,9 +340,6 @@ def save_dag(dag: DiscreteDag, path) -> None:
 
 
 def load_dag(path) -> DiscreteDag:
-    """Read and validate a DAG file; an invalid one raises InvalidDagError
-    (``dag_from_dict`` itself does not validate)."""
+    """Read a DAG file; an invalid network raises InvalidDagError."""
     with open(path) as f:
-        dag = dag_from_dict(json.load(f))
-    require_valid(dag)
-    return dag
+        return dag_from_dict(json.load(f))

@@ -138,7 +138,7 @@ def is_markov_relative(joint: JointTable, dag: DiscreteDag, tol: float = EXACT_T
     full = joint.array
     product = np.ones_like(full)
     for j in range(1, joint.n + 1):
-        union = tuple(sorted(dag.parents[j - 1] + (j,)))
+        union = (*dag.parents[j - 1], j)
         shape = [c if a in union else 1 for a, c in enumerate(joint.cards, start=1)]
         m_union = marginal(joint, union).reshape(shape)
         m_par = m_union.sum(axis=j - 1, keepdims=True)

@@ -197,6 +197,7 @@ def attach_cpts(skeleton: Skeleton, provider) -> AttachResult:
         live = mass > 0
         rows = np.full(joint_rows.shape, 1.0 / d_j)
         np.divide(joint_rows, mass[:, None], out=rows, where=live[:, None])
+        np.minimum(rows, 1.0, out=rows)  # rounding can put f(x, p) just above f(p)
         flagged.extend((j, int(cfg)) for cfg in np.flatnonzero(~live))
         cpts.append(rows)
     dag = DiscreteDag(skeleton.n, cards, skeleton.delta, skeleton.parents, cpts)

@@ -2,11 +2,13 @@ import tuplebn
 
 # Wrappers and test-only helpers that the one decision path
 # (ProviderCiDecider over ExactMarginalProvider / EmpiricalMarginalProvider)
-# replaced, and the readers of output-only JSON (frequency, witness) with
-# the parameter bundle only required_sample_size built.
+# replaced, the readers of output-only JSON (frequency, witness) with the
+# parameter bundle only required_sample_size built, and the separate DAG
+# validation layer that the DiscreteDag constructor replaced.
 REMOVED = (
     "BoundInputs",
     "MarginalTable",
+    "ValidationReport",
     "conditional_independent",
     "empirical_ci_test",
     "empirical_provider",
@@ -18,6 +20,8 @@ REMOVED = (
     "markov_parents",
     "minimize_parent_set",
     "mixed_radix_strides",
+    "require_valid",
+    "validate_dag",
     "witness_from_dict",
 )
 

@@ -101,6 +101,23 @@ def test_seed_option_refuses_a_negative_value(tmp_path, chain_dag, capsys):
     assert not (tmp_path / "g.json").exists() and not (tmp_path / "s.csv").exists()
 
 
+def test_delta_option_refuses_a_negative_value(tmp_path, chain_dag, capsys):
+    net = tmp_path / "chain.json"
+    save_dag(chain_dag, net)
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("x1,x2\n0,0\n1,1\n")
+    out = tmp_path / "o.json"
+    commands = [
+        ["generate", "--n", "3", "--delta", "-1", "--d", "2", "--seed", "1"],
+        ["recover", "--mode", "exact", "--dag", str(net), "--delta", "-1"],
+        ["recover", "--mode", "empirical", "--samples", str(csv_path), "--epsilon", "0.01", "--delta", "-1"],
+    ]
+    for args in commands:
+        assert run(args + ["--output", str(out)]) == EXIT_USAGE
+        assert "argument --delta: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point_exits_with_the_cli_code(tmp_path):
     src = str(Path(tuplebn.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -137,7 +154,7 @@ def test_recover_exact_model_violation_exit_2(xor_file, tmp_path, capsys):
     assert "node 3" in capsys.readouterr().err
 
 
-def test_recover_empirical(tmp_path, chain_dag):
+def test_recover_empirical(tmp_path, chain_dag, capsys):
     net = tmp_path / "chain.json"
     save_dag(chain_dag, net)
     csv_path = tmp_path / "data.csv"
@@ -147,6 +164,7 @@ def test_recover_empirical(tmp_path, chain_dag):
                 "--delta", "1", "--epsilon", "0.0015", "--output", str(out)])
     assert code == EXIT_OK
     assert load_dag(out).parents == ((), (1,), (2,))
+    assert "decider: empirical, epsilon=0.0015, dependence threshold=0.006 (" in capsys.readouterr().out
 
 
 def test_recover_empirical_requires_epsilon(tmp_path, capsys):
@@ -287,6 +305,19 @@ def only_error_line(capsys) -> str:
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     return lines[0]
+
+
+@pytest.mark.parametrize("text,got", [("5", "int"), ("[1]", "list"), ('"x"', "str"), ("null", "NoneType")])
+@pytest.mark.parametrize("command,what", [("sample", "a DAG file"), ("experiment", "a config")])
+def test_json_files_must_hold_an_object(tmp_path, capsys, command, what, text, got):
+    path = tmp_path / "input.json"
+    path.write_text(text + "\n")
+    if command == "sample":
+        args = ["sample", "--dag", str(path), "--l", "10", "--seed", "1", "--output", str(tmp_path / "s.csv")]
+    else:
+        args = ["experiment", "--config", str(path)]
+    assert run(args) == EXIT_USAGE
+    assert only_error_line(capsys) == f"error: {what} must hold a JSON object, got {got}"
 
 
 def test_sample_names_malformed_dag_field(tmp_path, chain_dag, capsys):

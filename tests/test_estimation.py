@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tuplebn import (
     DiscreteDag,
     FrequencyTable,
+    InvalidDagError,
     InvalidSamplesError,
     SampleMatrix,
     EmpiricalMarginalProvider,
@@ -52,9 +53,9 @@ def test_sample_determinism(chain_dag):
 
 
 def test_sample_requires_valid_dag():
-    bad = DiscreteDag(1, (2,), 0, ((),), [np.array([[0.6, 0.6]])])
-    with pytest.raises(ValueError):
-        sample(bad, 10, seed=0)
+    # an invalid network fails where it is built, before it can be sampled
+    with pytest.raises(InvalidDagError, match="cpt row does not sum to 1"):
+        DiscreteDag(1, (2,), 0, ((),), [np.array([[0.6, 0.6]])])
     with pytest.raises(ValueError):
         sample(point_mass_dag(), 0, seed=0)
 

@@ -16,57 +16,89 @@ from tuplebn import (
     factorized_joint,
     load_dag,
     random_dag,
-    require_valid,
     save_dag,
-    validate_dag,
 )
 
 
+def rules(exc_info):
+    return [(v.node, v.rule) for v in exc_info.value.violations]
+
+
 def test_validate_dag_accepts_chain(chain_dag):
-    report = validate_dag(chain_dag)
-    assert report.ok
-    assert report.violations == ()
-    require_valid(chain_dag)  # should not raise
+    again = DiscreteDag(chain_dag.n, chain_dag.cards, chain_dag.delta, chain_dag.parents, chain_dag.cpts)
+    assert again == chain_dag
 
 
 def test_validate_dag_rejects_forward_edge():
-    dag = DiscreteDag(
-        2, (2, 2), 1, ((2,), ()),
-        [np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([[0.5, 0.5]])],
-    )
-    report = validate_dag(dag)
-    assert not report.ok
-    assert any("parent index" in v.rule for v in report.violations)
-    with pytest.raises(InvalidDagError):
-        require_valid(dag)
+    with pytest.raises(InvalidDagError, match="parent index") as exc:
+        DiscreteDag(
+            2, (2, 2), 1, ((2,), ()),
+            [np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([[0.5, 0.5]])],
+        )
+    assert rules(exc) == [(1, "parent index >= child")]
 
 
 def test_validate_dag_rejects_in_degree_above_delta():
-    dag = DiscreteDag(
-        3, (2, 2, 2), 1, ((), (1,), (1, 2)),
-        [
-            np.array([[0.5, 0.5]]),
-            np.array([[0.5, 0.5], [0.5, 0.5]]),
-            np.array([[0.5, 0.5]] * 4),
-        ],
-    )
-    report = validate_dag(dag)
-    assert any("in-degree" in v.rule for v in report.violations)
+    with pytest.raises(InvalidDagError, match="in-degree") as exc:
+        DiscreteDag(
+            3, (2, 2, 2), 1, ((), (1,), (1, 2)),
+            [
+                np.array([[0.5, 0.5]]),
+                np.array([[0.5, 0.5], [0.5, 0.5]]),
+                np.array([[0.5, 0.5]] * 4),
+            ],
+        )
+    assert rules(exc) == [(3, "in-degree exceeds bound")]
 
 
 def test_validate_dag_rejects_bad_row_sum():
-    dag = DiscreteDag(1, (2,), 0, ((),), [np.array([[0.6, 0.6]])])
-    report = validate_dag(dag)
-    assert not report.ok
-    assert any("sum" in v.rule for v in report.violations)
+    with pytest.raises(InvalidDagError, match="sum") as exc:
+        DiscreteDag(1, (2,), 0, ((),), [np.array([[0.6, 0.6]])])
+    assert rules(exc) == [(1, "cpt row does not sum to 1")]
 
 
 def test_validate_dag_rejects_wrong_cpt_shape():
-    dag = DiscreteDag(
-        2, (2, 2), 1, ((), (1,)),
-        [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]])],  # needs 2 rows
+    with pytest.raises(InvalidDagError, match="cpt shape mismatch") as exc:
+        DiscreteDag(
+            2, (2, 2), 1, ((), (1,)),
+            [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]])],  # needs 2 rows
+        )
+    assert rules(exc) == [(2, "cpt shape mismatch")]
+
+
+def test_construction_lists_every_violation_in_order():
+    with pytest.raises(InvalidDagError) as exc:
+        DiscreteDag(
+            3, (2, 2, 2), 0, ((), (3,), (1, 1)),
+            [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]), np.array([[0.6, 0.6]] * 2)],
+        )
+    assert rules(exc) == [
+        (2, "parent index >= child"),
+        (2, "in-degree exceeds bound"),
+        (3, "duplicate parent index"),
+        (3, "in-degree exceeds bound"),
+        (3, "cpt shape mismatch"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "cards,cpts",
+    [((2,), [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]] * 2)]), ((0, 2), [np.zeros((1, 0)), np.zeros((0, 2))])],
+)
+def test_cards_without_a_cpt_shape_are_a_violation(cards, cpts):
+    # per-node checks would index a missing cardinality or reduce an empty CPT
+    with pytest.raises(InvalidDagError, match="card") as exc:
+        DiscreteDag(2, cards, 1, ((), (1,)), cpts)
+    assert all(v.node is None for v in exc.value.violations)
+
+
+def test_violation_messages_print_plain_numbers():
+    with pytest.raises(InvalidDagError) as exc:
+        DiscreteDag(2, (2, 2), 0, ((), ()), [np.array([[0.0, 1.0000000000000002]]), np.array([[0.6, 0.6]])])
+    assert str(exc.value) == (
+        "invalid DAG: node 1: probability out of [0,1] (min=0.0, max=1.0000000000000002); "
+        "node 2: cpt row does not sum to 1 (row 0 sums to 1.2)"
     )
-    assert not validate_dag(dag).ok
 
 
 def test_factorized_joint_matches_hand_computation(chain_dag):
@@ -112,7 +144,6 @@ def test_joint_table_validates_mass():
 @pytest.mark.parametrize("n,delta,d", [(1, 0, 2), (4, 0, 3), (6, 1, 2), (10, 2, 3), (5, 4, 2)])
 def test_random_dag_is_valid_and_floored(n, delta, d):
     dag = random_dag(n, delta, (d,) * n, seed=123, floor=0.05)
-    assert validate_dag(dag).ok
     for j in range(1, n + 1):
         assert len(dag.parents[j - 1]) <= min(delta, j - 1)
         assert np.all(dag.cpts[j - 1] >= 0.05 - 1e-12)
@@ -157,7 +188,8 @@ def test_dag_file_round_trip_bit_exact(tmp_path):
 def test_load_dag_validates(tmp_path, chain_dag):
     data = dag_to_dict(chain_dag)
     data["parents"][1] = [3]  # node 2 with a later parent
-    dag_from_dict(data)  # the dict form stays permissive
+    with pytest.raises(InvalidDagError, match="parent index"):
+        dag_from_dict(data)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
     with pytest.raises(InvalidDagError, match="parent index"):
@@ -195,6 +227,5 @@ def test_dag_json_is_plain_data(tmp_path):
 )
 def test_random_dag_always_validates(n, delta, seed):
     dag = random_dag(n, delta, (2,) * n, seed=seed)
-    assert validate_dag(dag).ok
     joint = factorized_joint(dag)
     assert math.isclose(float(joint.probs.sum()), 1.0, abs_tol=1e-10)

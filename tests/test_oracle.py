@@ -7,6 +7,7 @@ from tuplebn import (
     EXACT_TOL,
     DiscreteDag,
     ExactMarginalProvider,
+    InvalidDagError,
     ProviderCiDecider,
     TupleSizeError,
     dependence_statistic,
@@ -136,9 +137,17 @@ def test_is_markov_relative_superset_of_parents_still_compatible(chain_joint):
     # adding a spurious parent keeps the factorization exact
     fat = DiscreteDag(
         3, (2, 2, 2), 2, ((), (1,), (1, 2)),
-        [np.zeros((1, 2)), np.zeros((2, 2)), np.zeros((4, 2))],
+        [np.full((1, 2), 0.5), np.full((2, 2), 0.5), np.full((4, 2), 0.5)],
     )
     assert is_markov_relative(chain_joint, fat)
+
+
+def test_forward_edge_cannot_reach_is_markov_relative():
+    # is_markov_relative reads only the parent sets, so it would answer for
+    # node 1 listing node 2 as its parent; building that network fails first
+    joint = factorized_joint(DiscreteDag(2, (2, 2), 1, ((), ()), [np.array([[0.5, 0.5]])] * 2))
+    with pytest.raises(InvalidDagError, match="node 1: parent index >= child"):
+        is_markov_relative(joint, DiscreteDag(2, (2, 2), 1, ((2,), ()), [np.full((2, 2), 0.5), np.full((1, 2), 0.5)]))
 
 
 def test_provider_budget_and_log(chain_joint):

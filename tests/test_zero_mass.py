@@ -8,6 +8,7 @@ never occur.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from tuplebn import (
     random_dag,
     recover_structure,
     sample,
+    save_dag,
     tuple_frequencies,
 )
+from tuplebn.cli import EXIT_OK, main
 
 CARDS = (2, 3, 2, 2, 3, 2)
 DELTA = 2
@@ -72,7 +75,7 @@ def reference_attach_cpts(skeleton, provider):
         rows = np.empty((n_cfg, d_j))
         for cfg in range(n_cfg):
             if mass[cfg] > 0:
-                rows[cfg] = joint_rows[cfg] / mass[cfg]
+                rows[cfg] = np.minimum(joint_rows[cfg] / mass[cfg], 1.0)
             else:
                 rows[cfg] = np.full(d_j, 1.0 / d_j)
                 flagged.append((j, cfg))
@@ -90,6 +93,13 @@ def zeroed_dag(seed):
         rows[rows.sum(axis=1) == 0, 0] = 1.0
         cpts.append(rows / rows.sum(axis=1, keepdims=True))
     return DiscreteDag(dag.n, dag.cards, dag.delta, dag.parents, cpts)
+
+
+def probe(dag, parents):
+    """The parent sets ``parents`` over ``dag``'s variables, with uniform
+    CPTs; ``is_markov_relative`` reads only the parents."""
+    cpts = [np.full((math.prod(dag.cards[p - 1] for p in ps), d), 1.0 / d) for ps, d in zip(parents, dag.cards)]
+    return DiscreteDag(dag.n, dag.cards, dag.n, parents, cpts)
 
 
 def structures(dag, recovered):
@@ -111,12 +121,12 @@ def test_is_markov_relative_matches_skip_mask_form(seed):
     skeleton, _ = recover_structure(exact_ci_decider(joint, DELTA), dag.n, DELTA)
     answers = set()
     for name, parents in structures(dag, skeleton.parents).items():
-        probe = DiscreteDag(dag.n, dag.cards, dag.n, parents, [])
+        structure = probe(dag, parents)
         for tol in (0.0, EXACT_TOL, 1e-2):
-            mine = is_markov_relative(joint, probe, tol=tol)
-            assert mine == reference_is_markov_relative(joint, probe, tol), (name, tol)
+            mine = is_markov_relative(joint, structure, tol=tol)
+            assert mine == reference_is_markov_relative(joint, structure, tol), (name, tol)
             answers.add(mine)
-    assert is_markov_relative(joint, DiscreteDag(dag.n, dag.cards, dag.n, skeleton.parents, []))
+    assert is_markov_relative(joint, probe(dag, skeleton.parents))
     assert answers == {True, False}
 
 
@@ -130,24 +140,47 @@ def test_networks_have_dead_parent_configurations():
     assert dead > 0
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_attach_cpts_matches_loop_form(seed):
+def attach_cases(seed):
+    """(skeleton, provider) pairs over ``zeroed_dag(seed)``: exact and
+    empirical marginals, recovered, generating and all-predecessor parents."""
     dag = zeroed_dag(seed)
     joint = factorized_joint(dag)
     freq = tuple_frequencies(sample(dag, 500, seed), 2 * DELTA + 1)
     skeleton, _ = recover_structure(exact_ci_decider(joint, DELTA), dag.n, DELTA)
     fat = Skeleton(dag.n, dag.n, tuple(tuple(range(1, j)) for j in range(1, dag.n + 1)))
-    cases = [
+    return [
         (skeleton, ExactMarginalProvider(joint, joint.n)),
         (fat, ExactMarginalProvider(joint, joint.n)),
         (skeleton, EmpiricalMarginalProvider(freq)),
         (Skeleton(dag.n, DELTA, dag.parents), EmpiricalMarginalProvider(freq)),
     ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_attach_cpts_matches_loop_form(seed):
     flagged = 0
-    for skel, provider in cases:
+    for skel, provider in attach_cases(seed):
         result = attach_cpts(skel, provider)
         ref_cpts, ref_flagged = reference_attach_cpts(skel, provider)
         assert result.uniform_rows == ref_flagged
         assert [c.tobytes() for c in result.dag.cpts] == [c.tobytes() for c in ref_cpts]
         flagged += len(ref_flagged)
     assert flagged > 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_attach_cpts_entries_are_probabilities(seed):
+    for skel, provider in attach_cases(seed):
+        for cpt in attach_cpts(skel, provider).dag.cpts:
+            assert cpt.min() >= 0.0 and cpt.max() <= 1.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_recovery_output_samples_from_the_cli(seed, tmp_path):
+    # without the clamp at 1, exact recovery of each of these networks writes
+    # a CPT entry of 1.0000000000000002, which the network check refuses
+    net, recovered = tmp_path / "net.json", tmp_path / "recovered.json"
+    save_dag(zeroed_dag(seed), net)
+    recover = ["recover", "--mode", "exact", "--dag", str(net), "--delta", str(DELTA), "--output", str(recovered)]
+    assert main(recover) == EXIT_OK
+    assert main(["sample", "--dag", str(recovered), "--l", "10", "--seed", "0", "--output", str(tmp_path / "s.csv")]) == EXIT_OK
