@@ -19,8 +19,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DiscreteDag
+from .model import DiscreteDag, _index
 from .oracle import _ProviderBase
+
+__all__ = [
+    "EmpiricalMarginalProvider",
+    "FrequencyTable",
+    "InvalidSamplesError",
+    "SampleMatrix",
+    "frequencies_to_dict",
+    "load_samples",
+    "sample",
+    "save_frequencies",
+    "save_samples",
+    "tuple_frequencies",
+]
 
 # Rows drawn per generator call in ``sample``. Consecutive draws continue
 # one stream, so the rows do not depend on this value; it bounds the
@@ -54,7 +67,7 @@ class SampleMatrix:
     """
 
     def __init__(self, cards, rows):
-        self.cards = tuple(int(c) for c in cards)
+        self.cards = tuple(_index(c, "cards", InvalidSamplesError) for c in cards)
         for j, c in enumerate(self.cards, 1):
             if c < 1:
                 raise InvalidSamplesError(f"cardinality of x{j} must be >= 1, got {c}")

@@ -32,6 +32,16 @@ from .oracle import is_markov_relative, marginal
 from .recovery import ModelViolationError, attach_cpts, empirical_ci_decider, recover_structure
 from .vcbounds import required_sample_size, risk_bound, vc_upper_bound
 
+__all__ = [
+    "ExperimentConfig",
+    "TrialReport",
+    "load_config",
+    "run_experiment",
+    "run_trial_cell",
+    "save_trial_reports",
+    "summarize",
+]
+
 OUTCOME_OK = "markov-ok"
 OUTCOME_VIOLATION = "model-violation"
 OUTCOME_FAIL = "markov-fail"

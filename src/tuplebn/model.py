@@ -12,9 +12,24 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+__all__ = [
+    "CapacityError",
+    "DiscreteDag",
+    "InvalidDagError",
+    "JointTable",
+    "Violation",
+    "dag_from_dict",
+    "dag_to_dict",
+    "factorized_joint",
+    "load_dag",
+    "random_dag",
+    "save_dag",
+]
 
 JOINT_CAPACITY = 2**24
 CPT_ROW_TOL = 1e-12
@@ -43,10 +58,13 @@ class DiscreteDag:
     """
 
     def __init__(self, n, cards, delta, parents, cpts):
-        self.n = int(n)
-        self.cards = tuple(int(c) for c in cards)
-        self.delta = int(delta)
-        self.parents = tuple(tuple(sorted(int(p) for p in ps)) for ps in parents)
+        try:
+            self.n = _index(n, "n")
+            self.cards = tuple(_index(c, "cards") for c in cards)
+            self.delta = _index(delta, "delta")
+            self.parents = tuple(tuple(sorted(_index(p, "parents") for p in ps)) for ps in parents)
+        except ValueError as exc:
+            raise InvalidDagError([Violation(None, "integers required", str(exc))]) from None
         norm = []
         for t in cpts:
             a = np.ascontiguousarray(np.asarray(t, dtype=np.float64))
@@ -87,7 +105,7 @@ class JointTable:
     """
 
     def __init__(self, cards, probs):
-        self.cards = tuple(int(c) for c in cards)
+        self.cards = tuple(_index(c, "cards") for c in cards)
         arr = np.ascontiguousarray(np.asarray(probs, dtype=np.float64)).reshape(-1)
         expected = math.prod(self.cards)
         if arr.size != expected:
@@ -246,7 +264,7 @@ def random_dag(
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if isinstance(cards, int):
         cards = (cards,) * n
-    cards = tuple(int(c) for c in cards)
+    cards = tuple(_index(c, "cards") for c in cards)
     if len(cards) != n or any(c < 1 for c in cards):
         raise ValueError(f"cards must be {n} integers >= 1, got {cards}")
     if floor < 0 or floor * max(cards) >= 1:
@@ -276,6 +294,16 @@ def dag_to_dict(dag: DiscreteDag) -> dict:
         "parents": [list(ps) for ps in dag.parents],
         "cpts": [[list(row) for row in cpt] for cpt in dag.cpts],
     }
+
+
+def _index(value, name: str, error=ValueError) -> int:
+    """``operator.index(value)``, the rule positions follow: an int or a numpy
+    integer passes; a float or a string raises ``error`` naming ``name``
+    rather than being truncated or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name}: expected an integer, got {value!r}") from None
 
 
 def _integer(value) -> int:

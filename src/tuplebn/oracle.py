@@ -23,7 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JointTable, DiscreteDag
+from .model import JointTable, DiscreteDag, _index
+
+__all__ = [
+    "EXACT_TOL",
+    "AccessLog",
+    "ExactMarginalProvider",
+    "TupleSizeError",
+    "dependence_statistic",
+    "is_markov_relative",
+    "marginal",
+]
 
 EXACT_TOL = 1e-9
 
@@ -188,11 +198,11 @@ class ExactMarginalProvider(_ProviderBase):
 
     def __init__(self, joint: JointTable, max_tuple_size: int):
         super().__init__()
-        if max_tuple_size < 1:
+        self.max_tuple_size = _index(max_tuple_size, "max_tuple_size")
+        if self.max_tuple_size < 1:
             raise ValueError(f"max_tuple_size must be >= 1, got {max_tuple_size}")
         self._joint = joint
         self.cards = joint.cards
-        self.max_tuple_size = int(max_tuple_size)
 
     def _compute(self, pos) -> np.ndarray:
         return marginal(self._joint, pos)

@@ -20,6 +20,20 @@ import numpy as np
 from .model import DiscreteDag, JointTable
 from .oracle import EXACT_TOL, ExactMarginalProvider, dependence_statistic
 
+__all__ = [
+    "AttachResult",
+    "CiDecider",
+    "ModelViolationError",
+    "NodeTrace",
+    "ProviderCiDecider",
+    "RecoveryTrace",
+    "Skeleton",
+    "attach_cpts",
+    "empirical_ci_decider",
+    "exact_ci_decider",
+    "recover_structure",
+]
+
 
 class ModelViolationError(RuntimeError):
     """No conditioning set of the allowed size screens off a node.

@@ -20,6 +20,26 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .model import _index
+
+__all__ = [
+    "Certificate",
+    "CylinderCount",
+    "RiskBound",
+    "SampleSizes",
+    "ShatterWitness",
+    "VerifyResult",
+    "cylinder_count",
+    "required_sample_size",
+    "risk_bound",
+    "save_witness",
+    "shatter_witness",
+    "vc_lower_bound",
+    "vc_upper_bound",
+    "verify_shattered",
+    "witness_to_dict",
+]
+
 SEARCH_CAP = 2**40
 
 
@@ -164,7 +184,7 @@ def shatter_witness(n: int, k: int, value_pairs=None) -> ShatterWitness:
     if value_pairs is None:
         value_pairs = tuple((0, 1) for _ in range(n))
     else:
-        value_pairs = tuple((int(a), int(b)) for a, b in value_pairs)
+        value_pairs = tuple((_index(a, "value_pairs"), _index(b, "value_pairs")) for a, b in value_pairs)
         if len(value_pairs) != n:
             raise ValueError(f"need {n} value pairs, got {len(value_pairs)}")
         for j, (a, b) in enumerate(value_pairs, start=1):

@@ -1,4 +1,7 @@
 import tuplebn
+from tuplebn import estimation, experiment, model, oracle, recovery, vcbounds
+
+MODULES = (model, oracle, estimation, recovery, vcbounds, experiment)
 
 # Wrappers and test-only helpers that the one decision path
 # (ProviderCiDecider over ExactMarginalProvider / EmpiricalMarginalProvider)
@@ -40,3 +43,12 @@ def test_star_import():
 
 def test_removed_names_are_not_exported():
     assert [name for name in REMOVED if name in tuplebn.__all__ or hasattr(tuplebn, name)] == []
+
+
+def test_each_module_declares_its_public_names_once():
+    for module in MODULES:
+        assert [name for name in module.__all__ if not hasattr(module, name)] == [], module.__name__
+    names = [name for module in MODULES for name in module.__all__]
+    assert len(set(names)) == len(names)
+    assert tuplebn.__all__ == ["BACKEND", "__version__", *names]
+    assert all(getattr(tuplebn, name) is getattr(module, name) for module in MODULES for name in module.__all__)

@@ -182,6 +182,14 @@ def test_recover_missing_input_is_usage_error(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("mode,missing", [("exact", "--dag"), ("empirical", "--samples")])
+def test_recover_requires_the_input_of_its_mode(tmp_path, capsys, mode, missing):
+    code = run(["recover", "--mode", mode, "--delta", "1", "--epsilon", "0.1", "--output", str(tmp_path / "o.json")])
+    assert code == EXIT_USAGE
+    assert only_error_line(capsys) == f"error: {missing} is required in {mode} mode"
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_bounds_text_and_json_agree(tmp_path, capsys):
     argv = ["bounds", "--n", "8", "--k", "3", "--d", "2", "--epsilon", "0.1", "--delta-risk", "0.05"]
     assert run(argv) == EXIT_OK
@@ -214,6 +222,17 @@ def test_witness_roundtrip_and_exit(tmp_path, capsys):
     with open(out) as f:
         data = json.load(f)
     assert data["witness"]["l_points"] == 2 and data["verification"]["ok"] is True
+
+
+def test_witness_value_pairs_option(tmp_path, capsys):
+    out = tmp_path / "wit.json"
+    assert run(["witness", "--n", "3", "--k", "2", "--value-pairs", "0:2,1:0,5:7", "--output", str(out)]) == EXIT_OK
+    assert "shattered=true" in capsys.readouterr().out
+    data = json.loads(out.read_text())
+    assert data["witness"]["value_pairs"] == [[0, 2], [1, 0], [5, 7]]
+    assert data["witness"]["points"] == [[2, 1, 7]]
+    assert run(["witness", "--n", "3", "--k", "2", "--value-pairs", "0-1"]) == EXIT_USAGE
+    assert "0:1,0:1" in only_error_line(capsys)
 
 
 def test_usage_errors_exit_1(capsys):
@@ -275,6 +294,38 @@ def test_experiment_cell_above_joint_capacity_is_an_error_cell(tmp_path, capsys)
         assert entry["max_freq_dev_mean"] is None
         assert entry["freq_dev_exceed_rate"] is None
     assert "max freq dev n/a" in capsys.readouterr().out
+
+
+def test_experiment_records_model_violation_cells(tmp_path, capsys):
+    # a dependence threshold of 4e-4 at l=100 screens no node off
+    cfg = {
+        "n": 3, "delta": 1, "d": 2, "sample_sizes": [100], "epsilon": 1e-4, "delta_risk": 0.05,
+        "trials": 3, "seed": 0, "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["experiment", "--config", str(cfg_path)]) == EXIT_OK
+    rows = [line.split(",") for line in (tmp_path / "out" / "trials.csv").read_text().splitlines()[1:]]
+    assert [r[4] for r in rows] == ["model-violation"] * 3
+    assert all(math.isfinite(float(r[5])) and r[6] == "3" and r[7] == "false" for r in rows)
+    entry = json.loads((tmp_path / "out" / "summary.json").read_text())["per_l"][0]
+    assert entry["outcomes"] == {"markov-ok": 0, "model-violation": 3, "markov-fail": 0, "error": 0}
+    assert entry["markov_ok_rate"] == 0.0
+
+
+def test_experiment_output_dir_overrides_the_config(tmp_path, capsys):
+    cfg = {
+        "n": 3, "delta": 0, "d": 2, "sample_sizes": [100], "epsilon": 0.01, "delta_risk": 0.05,
+        "trials": 1, "seed": 2, "output_dir": str(tmp_path / "from_config"),
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "from_option"
+    assert run(["experiment", "--config", str(cfg_path), "--output-dir", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trials.csv"]
+    assert not (tmp_path / "from_config").exists()
+    assert f"reports -> {out}" in capsys.readouterr().out
+    assert json.loads((out / "summary.json").read_text())["config"]["output_dir"] == str(out)
 
 
 def test_summarize_skips_cells_without_a_deviation():

@@ -5,7 +5,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tuplebn import (
@@ -81,6 +81,12 @@ def test_sample_matrix_rejects_non_integer_values():
         SampleMatrix((2, 2), [[0.9, 1.7]])
     with pytest.raises(ValueError, match="integers"):
         SampleMatrix((2, 2), np.zeros((3, 2)))
+
+
+def test_sample_matrix_refuses_fractional_cards():
+    with pytest.raises(InvalidSamplesError, match="cards: expected an integer, got 2.9"):
+        SampleMatrix((2.9, 2), np.zeros((1, 2), dtype=np.int64))
+    assert SampleMatrix(np.array([2, 2]), np.zeros((1, 2), dtype=np.int64)).cards == (2, 2)
 
 
 def test_sample_matrix_range_checked_before_narrowing():
@@ -342,6 +348,8 @@ def test_load_samples_numbers_rows_across_parse_blocks(tmp_path):
     l=st.integers(0, _PARSE_BLOCK // 2 + 1),  # a 1-digit column passes one block
     seed=st.integers(0, 2**32 - 1),
 )
+# inferred cards (219,) fit uint8 where the given (257,) need uint16
+@example(cards=[257], l=1, seed=0)
 def test_load_samples_inverts_save_samples(tmp_path_factory, cards, l, seed):
     rows = np.random.default_rng(seed).integers(0, cards, size=(l, len(cards)))
     s = SampleMatrix(cards, rows)
@@ -350,8 +358,10 @@ def test_load_samples_inverts_save_samples(tmp_path_factory, cards, l, seed):
     loaded = [load_samples(path, cards=cards)] + ([load_samples(path)] if l else [])
     for again in loaded:
         assert np.array_equal(again.rows, s.rows)
-        assert again.rows.dtype == s.rows.dtype and again.rows.flags.f_contiguous
+        # the file holds values, not cards: an inferred load has the dtype of its own cards
+        assert again.rows.dtype == SampleMatrix(again.cards, s.rows).rows.dtype and again.rows.flags.f_contiguous
     assert loaded[0].cards == s.cards
+    assert loaded[0].rows.dtype == s.rows.dtype
     if l:
         assert loaded[1].cards == tuple(int(c) + 1 for c in s.rows.max(axis=0))
 

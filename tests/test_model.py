@@ -101,6 +101,25 @@ def test_violation_messages_print_plain_numbers():
     )
 
 
+@pytest.mark.parametrize(
+    "n,cards,delta,parents,name",
+    [
+        (2, (2, 2.9), 1, ((), (1,)), "cards"),
+        (2, (2, 2), 1.5, ((), (1,)), "delta"),
+        (2, (2, 2), 1, ((), (1.7,)), "parents"),
+        ("2", (2, 2), 1, ((), (1,)), "n"),
+    ],
+    ids=["cards", "delta", "parents", "n"],
+)
+def test_fractional_or_string_dag_inputs_are_refused_not_truncated(n, cards, delta, parents, name):
+    cpts = [np.full((1, 2), 0.5), np.full((2, 2), 0.5)]
+    with pytest.raises(InvalidDagError, match=f"{name}: expected an integer"):
+        DiscreteDag(n, cards, delta, parents, cpts)
+    # numpy integers are integers
+    dag = DiscreteDag(np.int64(2), np.array([2, 2]), np.int32(1), ((), (np.uint8(1),)), cpts)
+    assert (dag.n, dag.cards, dag.delta, dag.parents) == (2, (2, 2), 1, ((), (1,)))
+
+
 def test_factorized_joint_matches_hand_computation(chain_dag):
     joint = factorized_joint(chain_dag)
     arr = joint.array
@@ -141,6 +160,12 @@ def test_joint_table_validates_mass():
         JointTable((2,), np.array([np.inf, 0.0]))
 
 
+def test_joint_table_refuses_fractional_cards():
+    with pytest.raises(ValueError, match="cards: expected an integer, got 2.5"):
+        JointTable((2.5, 2), np.full(4, 0.25))
+    assert JointTable(np.array([2, 2]), np.full(4, 0.25)).cards == (2, 2)
+
+
 @pytest.mark.parametrize("n,delta,d", [(1, 0, 2), (4, 0, 3), (6, 1, 2), (10, 2, 3), (5, 4, 2)])
 def test_random_dag_is_valid_and_floored(n, delta, d):
     dag = random_dag(n, delta, (d,) * n, seed=123, floor=0.05)
@@ -166,6 +191,12 @@ def test_random_dag_rejects_excessive_floor():
     # floor * cardinality must leave room for a distribution
     with pytest.raises(ValueError):
         random_dag(3, 1, (4,) * 3, seed=0, floor=0.3)
+
+
+def test_random_dag_refuses_fractional_cards():
+    with pytest.raises(ValueError, match="cards: expected an integer, got 2.5"):
+        random_dag(3, 1, (2, 2.5, 2), 0)
+    assert random_dag(3, 1, np.array([2, 2, 2]), 0) == random_dag(3, 1, (2, 2, 2), 0)
 
 
 def test_dag_dict_round_trip(chain_dag):

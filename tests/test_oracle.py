@@ -160,6 +160,13 @@ def test_provider_budget_and_log(chain_joint):
     assert provider.access_log.queries == 2  # the refused query is not recorded
 
 
+def test_provider_budget_is_refused_not_truncated(chain_joint):
+    for budget in (2.9, "2"):
+        with pytest.raises(ValueError, match="max_tuple_size: expected an integer"):
+            ExactMarginalProvider(chain_joint, budget)
+    assert ExactMarginalProvider(chain_joint, np.int64(2)).max_tuple_size == 2
+
+
 def test_provider_cache_returns_same_array(chain_joint):
     provider = ExactMarginalProvider(chain_joint, 3)
     a = provider.table((1, 3))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +175,12 @@ def test_witness_value_pairs():
         shatter_witness(3, 2, value_pairs=[(0, 0), (0, 1), (0, 1)])
     with pytest.raises(ValueError):
         shatter_witness(3, 2, value_pairs=[(0, 1)])
+
+
+def test_witness_value_pairs_are_refused_not_truncated():
+    with pytest.raises(ValueError, match="value_pairs: expected an integer, got 1.5"):
+        shatter_witness(4, 2, [(0, 1.5), (0, 1), (0, 1), (0, 1)])
+    assert shatter_witness(4, 2, np.array([(0, 1)] * 4)) == shatter_witness(4, 2)
 
 
 def test_verify_shattered_worked_example():
