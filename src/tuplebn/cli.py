@@ -88,7 +88,7 @@ def _parse_value_pairs(text: str) -> tuple[tuple[int, int], ...]:
 def cmd_generate(args) -> int:
     if (args.d is None) == (args.cards is None):
         raise ValueError("exactly one of --d or --cards is required")
-    cards = (args.d,) * args.n if args.d is not None else _parse_cards(args.cards)
+    cards = args.d if args.d is not None else _parse_cards(args.cards)
     dag = random_dag(args.n, args.delta, cards, args.seed, alpha=args.alpha, floor=args.floor)
     save_dag(dag, args.output)
     print(f"generated n={dag.n} delta={dag.delta} -> {args.output}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DiscreteDag, _index
+from .model import DiscreteDag, _indices
 from .oracle import _ProviderBase
 
 __all__ = [
@@ -67,7 +67,7 @@ class SampleMatrix:
     """
 
     def __init__(self, cards, rows):
-        self.cards = tuple(_index(c, "cards", InvalidSamplesError) for c in cards)
+        self.cards = _indices(cards, "cards", InvalidSamplesError)
         for j, c in enumerate(self.cards, 1):
             if c < 1:
                 raise InvalidSamplesError(f"cardinality of x{j} must be >= 1, got {c}")

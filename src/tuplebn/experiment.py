@@ -22,15 +22,15 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .estimation import EmpiricalMarginalProvider, sample, tuple_frequencies
-from .model import _integer, _integers, _read_field, _real, _require_object, factorized_joint, random_dag
+from .model import _index, _indices, _real, _require_object, factorized_joint, random_dag
 from .oracle import is_markov_relative, marginal
 from .recovery import ModelViolationError, attach_cpts, empirical_ci_decider, recover_structure
-from .vcbounds import required_sample_size, risk_bound, vc_upper_bound
+from .vcbounds import SampleSizes, required_sample_size, risk_bound, vc_upper_bound
 
 __all__ = [
     "ExperimentConfig",
@@ -50,36 +50,18 @@ OUTCOME_ERROR = "error"
 TRIALS_HEADER = ["trial", "l_index", "l", "seed", "outcome", "max_freq_dev", "max_tuple_size", "graph_equal"]
 
 
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-_REQUIRED = object()
-
-# key -> (converter, default); _REQUIRED marks a key the file must give.
-# "cards" and "d" are the two exclusive ways to give the cardinalities.
-_CONFIG_FIELDS = {
-    "n": (_integer, _REQUIRED),
-    "cards": (_integers, None),
-    "d": (_integer, None),
-    "delta": (_integer, _REQUIRED),
-    "alpha": (_real, 1.0),
-    "floor": (_real, 0.01),
-    "sample_sizes": (_integers, _REQUIRED),
-    "epsilon": (_real, _REQUIRED),
-    "delta_risk": (_real, _REQUIRED),
-    "trials": (_integer, _REQUIRED),
-    "seed": (_integer, _REQUIRED),
-    "output_dir": (_string, _REQUIRED),
-    "markov_tol": (_real, 1e-2),
-}
+# the defaults of the fields a config file may leave out
+_OPTIONAL = {"cards": None, "alpha": 1.0, "floor": 0.01, "markov_tol": 1e-2}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment parameters; see from_dict for the file format."""
+    """Checked experiment parameters; see from_dict for the file format.
+
+    The constructor is the one place a field is checked: integers by
+    ``model._index``, reals by ``model._real``, then each range, so that a
+    NaN fails it. A bad field raises ValueError naming it.
+    """
 
     n: int
     delta: int
@@ -95,20 +77,24 @@ class ExperimentConfig:
     markov_tol: float = 1e-2
 
     def __post_init__(self):
-        if self.n < 1 or self.delta < 0:
-            raise ValueError(f"need n >= 1 and delta >= 0, got n={self.n}, delta={self.delta}")
-        if len(self.cards) != self.n or any(c < 1 for c in self.cards):
-            raise ValueError(f"cards must be {self.n} values >= 1, got {self.cards}")
-        if not self.sample_sizes or any(l < 1 for l in self.sample_sizes):
-            raise ValueError(f"sample_sizes must be nonempty positive, got {self.sample_sizes}")
-        if not 0 < self.epsilon < 1 or not 0 < self.delta_risk < 1:
-            raise ValueError("epsilon and delta_risk must be in (0,1)")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"config field 'seed' must be >= 0, got {self.seed}")
-        if self.markov_tol <= 0:
-            raise ValueError(f"markov_tol must be > 0, got {self.markov_tol}")
+        for field, read, ok, rule in (
+            ("n", _index, lambda v: v >= 1, ">= 1"),
+            ("delta", _index, lambda v: v >= 0, ">= 0"),
+            ("cards", _indices, lambda v: len(v) == self.n and min(v) >= 1, "n values >= 1"),
+            ("alpha", _real, lambda v: 0 < v < math.inf, "finite and > 0"),
+            ("floor", _real, lambda v: v >= 0 and v * max(self.cards) < 1, ">= 0 and below 1/max(cards)"),
+            ("sample_sizes", _indices, lambda v: len(v) >= 1 and min(v) >= 1, "nonempty and >= 1"),
+            ("epsilon", _real, lambda v: 0 < v < 1, "in (0,1)"),
+            ("delta_risk", _real, lambda v: 0 < v < 1, "in (0,1)"),
+            ("trials", _index, lambda v: v >= 1, ">= 1"),
+            ("seed", _index, lambda v: v >= 0, ">= 0"),
+            ("output_dir", lambda v, name: v, lambda v: isinstance(v, str), "a string"),
+            ("markov_tol", _real, lambda v: 0 < v < math.inf, "finite and > 0"),
+        ):
+            value = read(getattr(self, field), f"config field {field!r}")
+            if not ok(value):
+                raise ValueError(f"config field {field!r} must be {rule}, got {value!r}")
+            object.__setattr__(self, field, value)
 
     @property
     def k(self) -> int:
@@ -117,27 +103,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """Build from the JSON config mapping; unknown keys are rejected.
-
-        Cardinalities come either as "cards" (a list) or "d" (one uniform
-        value), exactly one of the two.
+        """Build from the JSON config mapping. An unknown or a missing key,
+        or both or neither of "cards" (a list) and "d" (one value for every
+        variable), is refused here; the constructor checks every value.
         """
         _require_object(data, "a config")
-        unknown = sorted(set(data) - set(_CONFIG_FIELDS))
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(data) - set(names) - {"d"})
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        missing = sorted(k for k, (_, default) in _CONFIG_FIELDS.items() if default is _REQUIRED and k not in data)
+        missing = sorted(set(names) - set(_OPTIONAL) - set(data))
         if missing:
             raise ValueError(f"missing config keys: {missing}")
         if ("cards" in data) == ("d" in data):
             raise ValueError('exactly one of "cards" or "d" is required')
-        values = {
-            key: _read_field(data, key, convert, "config") if key in data else default
-            for key, (convert, default) in _CONFIG_FIELDS.items()
-        }
-        d = values.pop("d")
-        if d is not None:
-            values["cards"] = (d,) * values["n"]
+        values = {name: data.get(name, _OPTIONAL.get(name)) for name in names}
+        if "d" in data:
+            # repeating "d" needs n as an integer before the constructor reads n
+            values["cards"] = (_index(data["d"], "config field 'd'"),) * _index(data["n"], "config field 'n'")
         return cls(**values)
 
     def to_dict(self) -> dict:
@@ -230,11 +213,11 @@ def run_trial_cell(config: ExperimentConfig, trial: int, l_index: int) -> TrialR
     )
 
 
-def summarize(config: ExperimentConfig, reports: list[TrialReport]) -> dict:
+def summarize(config: ExperimentConfig, reports: list[TrialReport], sizes: SampleSizes) -> dict:
     """Aggregate per sample size and set the observed rates beside the
-    uniform-deviation bound at the same l."""
+    uniform-deviation bound at the same l. ``sizes`` is what
+    ``required_sample_size`` solves for the config."""
     h = vc_upper_bound(config.n, config.k, max(config.cards))
-    sizes = required_sample_size(config.n, config.k, max(config.cards), config.epsilon, config.delta_risk)
     per_l = []
     for l_index, l in enumerate(config.sample_sizes):
         cell = [r for r in reports if r.l_index == l_index]
@@ -288,15 +271,17 @@ def run_experiment(config: ExperimentConfig, write_timings: bool = False) -> dic
 
     Rows appear in (trial, sample-size index) order. Returns the summary
     mapping. With write_timings, per-cell wall times go to timings.csv,
-    which is deliberately outside the determinism guarantee.
+    which is deliberately outside the determinism guarantee. The sample
+    size bounds are solved first, so an unsolvable one fails before any cell.
     """
+    sizes = required_sample_size(config.n, config.k, max(config.cards), config.epsilon, config.delta_risk)
     os.makedirs(config.output_dir, exist_ok=True)
     reports = [
         run_trial_cell(config, trial, l_index)
         for trial in range(config.trials)
         for l_index in range(len(config.sample_sizes))
     ]
-    summary = summarize(config, reports)
+    summary = summarize(config, reports, sizes)
     save_trial_reports(reports, os.path.join(config.output_dir, "trials.csv"))
     with open(os.path.join(config.output_dir, "summary.json"), "w") as f:
         json.dump(summary, f, indent=2)

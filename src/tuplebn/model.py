@@ -60,19 +60,14 @@ class DiscreteDag:
     def __init__(self, n, cards, delta, parents, cpts):
         try:
             self.n = _index(n, "n")
-            self.cards = tuple(_index(c, "cards") for c in cards)
+            self.cards = _indices(cards, "cards")
             self.delta = _index(delta, "delta")
-            self.parents = tuple(tuple(sorted(_index(p, "parents") for p in ps)) for ps in parents)
+            self.parents = tuple(
+                tuple(sorted(_indices(ps, "parents"))) for ps in _iterate(parents, "parents", "a list of parent lists")
+            )
+            self.cpts = tuple(_cpt(t, j) for j, t in enumerate(_iterate(cpts, "cpts", "a list of tables"), start=1))
         except ValueError as exc:
-            raise InvalidDagError([Violation(None, "integers required", str(exc))]) from None
-        norm = []
-        for t in cpts:
-            a = np.ascontiguousarray(np.asarray(t, dtype=np.float64))
-            if a.ndim == 1:
-                a = a.reshape(1, -1)
-            a.flags.writeable = False
-            norm.append(a)
-        self.cpts = tuple(norm)
+            raise InvalidDagError([Violation(None, "malformed field", str(exc))]) from None
         bad = _violations(self)
         if bad:
             raise InvalidDagError(bad)
@@ -105,7 +100,7 @@ class JointTable:
     """
 
     def __init__(self, cards, probs):
-        self.cards = tuple(_index(c, "cards") for c in cards)
+        self.cards = _indices(cards, "cards")
         arr = np.ascontiguousarray(np.asarray(probs, dtype=np.float64)).reshape(-1)
         expected = math.prod(self.cards)
         if arr.size != expected:
@@ -256,18 +251,21 @@ def random_dag(
     concentration ``alpha``, mixed with the uniform row so that every entry
     is at least ``floor``.
     """
+    n = _index(n, "n")
+    delta = _index(delta, "delta")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if isinstance(cards, int):
+    # each check is written so that a NaN fails it
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    if isinstance(cards, (int, np.integer)):
         cards = (cards,) * n
-    cards = tuple(_index(c, "cards") for c in cards)
+    cards = _indices(cards, "cards")
     if len(cards) != n or any(c < 1 for c in cards):
         raise ValueError(f"cards must be {n} integers >= 1, got {cards}")
-    if floor < 0 or floor * max(cards) >= 1:
+    if not (floor >= 0 and floor * max(cards) < 1):
         raise ValueError(f"floor {floor} incompatible with cardinalities {cards}")
 
     rng = np.random.default_rng(seed)
@@ -297,33 +295,56 @@ def dag_to_dict(dag: DiscreteDag) -> dict:
 
 
 def _index(value, name: str, error=ValueError) -> int:
-    """``operator.index(value)``, the rule positions follow: an int or a numpy
-    integer passes; a float or a string raises ``error`` naming ``name``
-    rather than being truncated or parsed."""
+    """The one integer rule, which positions follow too: an int or a numpy
+    integer passes; a bool, a float (even ``2.0``) or a string raises
+    ``error`` naming ``name`` rather than being read as a number."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name}: expected an integer, got {value!r}")
+
+
+def _iterate(values, name: str, what: str, error=ValueError):
+    """``iter(values)``; a non-iterable raises ``error`` naming ``name``."""
     try:
-        return operator.index(value)
+        return iter(values)
     except TypeError:
-        raise error(f"{name}: expected an integer, got {value!r}") from None
+        raise error(f"{name}: expected {what}, got {values!r}") from None
 
 
-def _integer(value) -> int:
-    """``value`` if it is an integer; a bool, a float or a string raises
-    TypeError rather than being truncated or parsed."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+def _indices(values, name: str, error=ValueError) -> tuple[int, ...]:
+    """A list of integers, each read by ``_index``."""
+    return tuple(_index(v, name, error) for v in _iterate(values, name, "a list of integers", error))
 
 
-def _real(value) -> float:
-    """``value`` as a float if it is a JSON number, an integer or a float;
-    a bool or a string raises TypeError rather than being parsed."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
+def _real(value, name: str) -> float:
+    """``value`` as a float if it is an int, a float or a numpy number; a bool
+    or a string raises ValueError naming ``name``. A NaN passes."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
     return float(value)
 
 
-def _integers(values) -> tuple[int, ...]:
-    return tuple(_integer(v) for v in values)
+def _cpt(table, node: int) -> np.ndarray:
+    """``table`` as a read-only float64 matrix, a flat table being one row;
+    anything but a rectangular table of int or float numbers (a bool, a
+    string, a null, a ragged row) raises ValueError naming ``cpts``."""
+    try:
+        a = np.asarray(table)
+        # numpy reads a bool among numbers as 0 or 1, so a list is searched for one
+        if a.dtype.kind not in "iuf" or not isinstance(table, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.asarray(table, dtype=object).flat
+        ):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError(f"cpts: node {node} is not a rectangular table of numbers") from None
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.ndim == 1:
+        a = a.reshape(1, -1)
+    a.flags.writeable = False
+    return a
 
 
 def _require_object(data, what: str) -> None:
@@ -332,32 +353,18 @@ def _require_object(data, what: str) -> None:
         raise ValueError(f"{what} must hold a JSON object, got {type(data).__name__}")
 
 
-def _read_field(data: dict, key: str, convert, what: str):
-    """``convert(data[key])``, with a TypeError or ValueError raised as a
-    ValueError that names the field of ``what``."""
-    try:
-        return convert(data[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} field {key!r} is malformed: {exc}") from None
-
-
-_DAG_FIELDS = {
-    "n": _integer,
-    "cards": _integers,
-    "delta": _integer,
-    "parents": lambda v: [_integers(ps) for ps in v],
-    "cpts": lambda v: [np.asarray(t, dtype=np.float64) for t in v],
-}
+_DAG_FIELDS = ("n", "cards", "delta", "parents", "cpts")
 
 
 def dag_from_dict(data: dict) -> DiscreteDag:
-    """Inverse of dag_to_dict. A field of the wrong type raises ValueError
-    naming the field; an invalid network raises InvalidDagError."""
+    """Inverse of dag_to_dict. A non-object or a missing field raises
+    ValueError; ``DiscreteDag`` checks the fields as given and raises
+    InvalidDagError naming a malformed one or listing every violation."""
     _require_object(data, "a DAG file")
     missing = set(_DAG_FIELDS) - set(data)
     if missing:
         raise ValueError(f"DAG file missing fields: {sorted(missing)}")
-    return DiscreteDag(**{key: _read_field(data, key, convert, "DAG") for key, convert in _DAG_FIELDS.items()})
+    return DiscreteDag(**{key: data[key] for key in _DAG_FIELDS})
 
 
 def save_dag(dag: DiscreteDag, path) -> None:

@@ -12,6 +12,7 @@ exactly the tuple budget the providers enforce.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Protocol
 
@@ -64,8 +65,8 @@ class ProviderCiDecider:
     """
 
     def __init__(self, provider, threshold: float):
-        if threshold <= 0:
-            raise ValueError(f"threshold must be > 0, got {threshold}")
+        if not 0 < threshold < math.inf:  # written so that a NaN fails it
+            raise ValueError(f"threshold must be finite and > 0, got {threshold}")
         self.provider = provider
         self.threshold = float(threshold)
 
@@ -88,8 +89,8 @@ def empirical_ci_decider(provider, epsilon: float) -> ProviderCiDecider:
     signal. An epsilon large enough that the threshold reaches 1 makes every
     context skippable and every decision independent.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < math.inf:  # written so that a NaN fails it
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     return ProviderCiDecider(provider, 4.0 * epsilon)
 
 

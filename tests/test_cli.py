@@ -11,7 +11,9 @@ import pytest
 import tuplebn
 from tuplebn import dag_to_dict, load_dag, load_samples, save_dag
 from tuplebn.cli import EXIT_MODEL_VIOLATION, EXIT_OK, EXIT_USAGE, main
+from tuplebn import experiment
 from tuplebn.experiment import ExperimentConfig, TrialReport, summarize
+from tuplebn.vcbounds import required_sample_size
 
 
 def run(args):
@@ -176,6 +178,17 @@ def test_recover_empirical_requires_epsilon(tmp_path, capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_recover_empirical_refuses_nan_and_infinite_epsilon(tmp_path, capsys, epsilon):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("x1,x2\n0,0\n1,1\n")
+    code = run(["recover", "--mode", "empirical", "--samples", str(csv_path), "--delta", "0",
+                "--epsilon", epsilon, "--output", str(tmp_path / "o.json")])
+    assert code == EXIT_USAGE
+    assert only_error_line(capsys) == f"error: epsilon must be finite and > 0, got {epsilon}"
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_recover_missing_input_is_usage_error(tmp_path):
     code = run(["recover", "--mode", "exact", "--dag", str(tmp_path / "nope.json"),
                 "--delta", "1", "--output", str(tmp_path / "o.json")])
@@ -338,7 +351,8 @@ def test_summarize_skips_cells_without_a_deviation():
         TrialReport(1, 0, 100, 2, "error", math.nan, 0, False),
         TrialReport(2, 0, 100, 3, "markov-fail", 0.05, 3, False),
     ]
-    entry = summarize(config, reports)["per_l"][0]
+    sizes = required_sample_size(3, config.k, 2, config.epsilon, config.delta_risk)
+    entry = summarize(config, reports, sizes)["per_l"][0]
     assert entry["max_freq_dev_max"] == 0.25
     assert entry["max_freq_dev_mean"] == pytest.approx(0.15)
     assert entry["freq_dev_exceed_rate"] == 0.5
@@ -380,7 +394,7 @@ def test_sample_names_malformed_dag_field(tmp_path, chain_dag, capsys):
         bad.write_text(json.dumps(data))
         code = run(["sample", "--dag", str(bad), "--l", "10", "--seed", "1", "--output", str(tmp_path / "s.csv")])
         assert code == EXIT_USAGE
-        assert f"'{field}'" in only_error_line(capsys)
+        assert f"malformed field ({field}: expected" in only_error_line(capsys)
 
 
 def test_sample_rejects_nan_probabilities(tmp_path, chain_dag, capsys):
@@ -412,6 +426,22 @@ def test_experiment_names_malformed_config_field(tmp_path, capsys, field, value)
     cfg_path.write_text(json.dumps(cfg))
     assert run(["experiment", "--config", str(cfg_path)]) == EXIT_USAGE
     assert f"'{field}'" in only_error_line(capsys)
+
+
+def test_experiment_with_no_feasible_bound_runs_no_cell(tmp_path, capsys, monkeypatch):
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(experiment, "run_trial_cell", no_cell)
+    cfg = {
+        "n": 3, "delta": 1, "d": 2, "sample_sizes": [100], "epsilon": 1e-6, "delta_risk": 0.05,
+        "trials": 1, "seed": 2, "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["experiment", "--config", str(cfg_path)]) == EXIT_USAGE
+    assert only_error_line(capsys).startswith("error: no feasible sample size below ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_timings_flag(tmp_path):

@@ -193,6 +193,20 @@ def test_random_dag_rejects_excessive_floor():
         random_dag(3, 1, (4,) * 3, seed=0, floor=0.3)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"alpha": math.nan}, "alpha"), ({"alpha": math.inf}, "alpha"), ({"alpha": 0.0}, "alpha"),
+    ({"floor": math.nan}, "floor"), ({"floor": math.inf}, "floor"),
+])
+def test_random_dag_refuses_nan_and_infinite_reals(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        random_dag(3, 1, 2, 0, **kwargs)
+
+
+@pytest.mark.parametrize("card", [np.int64(2), np.uint8(2), 2])
+def test_random_dag_expands_an_integer_scalar_cards(card):
+    assert random_dag(3, 1, card, 0) == random_dag(3, 1, (2, 2, 2), 0)
+
+
 def test_random_dag_refuses_fractional_cards():
     with pytest.raises(ValueError, match="cards: expected an integer, got 2.5"):
         random_dag(3, 1, (2, 2.5, 2), 0)

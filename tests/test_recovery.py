@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -147,6 +148,15 @@ def test_decider_validates_threshold(chain_joint):
         ProviderCiDecider(provider, 0.0)
     with pytest.raises(ValueError):
         empirical_ci_decider(provider, -0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_decider_refuses_nan_and_infinite_thresholds(chain_joint, value):
+    provider = ExactMarginalProvider(chain_joint, 3)
+    with pytest.raises(ValueError, match="^threshold must be finite"):
+        ProviderCiDecider(provider, value)
+    with pytest.raises(ValueError, match="^epsilon must be finite"):
+        empirical_ci_decider(provider, value)
 
 
 def test_budget_never_exceeded_with_tight_provider(chain_joint):
