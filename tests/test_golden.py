@@ -57,6 +57,12 @@ WITNESS_DIGESTS = {
     (4, 4, None): "0d2c908982f05f00de4f2e010b74f1b3c96f037e2ec7d7d0b3bfdad9fcbf8632",
     (3, 2, ((0, 2), (1, 0), (5, 7))): "2b48dac3e32759f88f5e3dbad24a38defa27066ce0fc9eea308339ccf7c06437",
 }
+# the `bounds --output` report, keyed by --format
+BOUNDS_ARGV = ["bounds", "--n", "12", "--k", "5", "--d", "3", "--epsilon", "0.05", "--delta-risk", "0.01"]
+BOUNDS_DIGESTS = {
+    "json": "603cd5f67767ee71efd24853295fb7046a0b7e5bfb3925cdedd4fe1fc208a24c",
+    "text": "49db1af71b5c4f7e6f168ced52c8453f0d51e07d17c334c69fb192c118a22ac5",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -156,3 +162,11 @@ def test_witness_json_digest(tmp_path, n, k, value_pairs):
     path = tmp_path / "witness.json"
     save_witness(w, verify_shattered(w, k), path)
     assert sha256(path.read_bytes()) == WITNESS_DIGESTS[n, k, value_pairs]
+
+
+@pytest.mark.parametrize("fmt", sorted(BOUNDS_DIGESTS))
+def test_bounds_report_digest(tmp_path, capsys, fmt):
+    path = tmp_path / f"bounds.{fmt}"
+    assert main([*BOUNDS_ARGV, "--format", fmt, "--output", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert sha256(path.read_bytes()) == BOUNDS_DIGESTS[fmt]
