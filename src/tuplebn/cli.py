@@ -11,8 +11,8 @@ so the parser here exits 1 instead.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -26,7 +26,7 @@ from .estimation import (
     save_samples,
     tuple_frequencies,
 )
-from .model import factorized_joint, load_dag, random_dag, save_dag
+from .model import _dump_json, _write_json, factorized_joint, load_dag, random_dag, save_dag
 from .oracle import is_markov_relative
 from .recovery import (
     ModelViolationError,
@@ -138,9 +138,7 @@ def cmd_recover(args) -> int:
     result = attach_cpts(skeleton, provider)
     save_dag(result.dag, args.output)
     if args.trace:
-        with open(args.trace, "w") as f:
-            json.dump(trace.to_dict(), f, indent=2)
-            f.write("\n")
+        _write_json(trace.to_dict(), args.trace)
     if args.mode == "exact":
         ok = is_markov_relative(joint, result.dag, tol=MARKOV_CHECK_TOL)
         print(f"markov-compatible: {str(ok).lower()} (tolerance {MARKOV_CHECK_TOL})")
@@ -172,15 +170,11 @@ def cmd_bounds(args) -> int:
         "l_suff": sizes.l_suff,
         "l_risk": sizes.l_risk,
     }
-    if args.format == "json":
-        rendered = json.dumps(report, indent=2) + "\n"
-    else:
-        rendered = "".join(f"{key}: {value}\n" for key, value in report.items())
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(rendered)
-    else:
-        print(rendered, end="")
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as f:
+        if args.format == "json":
+            _dump_json(report, f)
+        else:
+            f.writelines(f"{key}: {value}\n" for key, value in report.items())
     return EXIT_OK
 
 

@@ -11,16 +11,14 @@ for why the weighted sums are exact and for the input where it loses.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DiscreteDag, _indices
-from .oracle import _ProviderBase
+from .model import DiscreteDag, _indices, _write_json
+from .oracle import _ProviderBase, _integer_positions
 
 __all__ = [
     "EmpiricalMarginalProvider",
@@ -160,8 +158,8 @@ class FrequencyTable:
         positions (wrong size, unsorted, out of range or not integers)
         raise ValueError."""
         try:
-            return self.counts[tuple(map(operator.index, positions))]
-        except (KeyError, TypeError):
+            return self.counts[_integer_positions(positions)]
+        except (KeyError, ValueError):
             raise ValueError(
                 f"dense_counts wants {self.k} strictly increasing integer positions in 1..{self.n},"
                 f" got {positions!r}"
@@ -287,7 +285,7 @@ def save_samples(samples: SampleMatrix, path) -> None:
     Each ``_SAMPLE_CHUNK``-row block is formatted in numpy: every value
     indexes a table of its right-aligned decimal digits plus a separator
     slot, and a matching mask drops the leading pad, so the bytes are the
-    plain decimal CSV that ``csv.writer`` writes.
+    plain decimal CSV that the ``csv`` module writes.
     """
     values = np.arange(max(samples.cards, default=1))
     powers = 10 ** np.arange(len(str(values[-1])) - 1, -1, -1)
@@ -452,6 +450,4 @@ def frequencies_to_dict(freq: FrequencyTable) -> dict:
 
 def save_frequencies(freq: FrequencyTable, path) -> None:
     """JSON with counts sorted by (positions, values)."""
-    with open(path, "w") as f:
-        json.dump(frequencies_to_dict(freq), f, indent=2)
-        f.write("\n")
+    _write_json(frequencies_to_dict(freq), path)

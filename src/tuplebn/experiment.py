@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 import os
 import time
@@ -27,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .estimation import EmpiricalMarginalProvider, sample, tuple_frequencies
-from .model import _index, _indices, _real, _require_object, factorized_joint, random_dag
+from .model import _index, _indices, _read_json, _real, _require_object, _write_json, factorized_joint, random_dag
 from .oracle import is_markov_relative, marginal
 from .recovery import ModelViolationError, attach_cpts, empirical_ci_decider, recover_structure
 from .vcbounds import SampleSizes, required_sample_size, risk_bound, vc_upper_bound
@@ -84,7 +83,7 @@ class ExperimentConfig:
             ("alpha", _real, lambda v: 0 < v < math.inf, "finite and > 0"),
             ("floor", _real, lambda v: v >= 0 and v * max(self.cards) < 1, ">= 0 and below 1/max(cards)"),
             ("sample_sizes", _indices, lambda v: len(v) >= 1 and min(v) >= 1, "nonempty and >= 1"),
-            ("epsilon", _real, lambda v: 0 < v < 1, "in (0,1)"),
+            ("epsilon", _real, lambda v: 0 < v < 0.25, "in (0, 0.25)"),
             ("delta_risk", _real, lambda v: 0 < v < 1, "in (0,1)"),
             ("trials", _index, lambda v: v >= 1, ">= 1"),
             ("seed", _index, lambda v: v >= 0, ">= 0"),
@@ -128,8 +127,7 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as f:
-        return ExperimentConfig.from_dict(json.load(f))
+    return ExperimentConfig.from_dict(_read_json(path))
 
 
 @dataclass
@@ -255,15 +253,21 @@ def summarize(config: ExperimentConfig, reports: list[TrialReport], sizes: Sampl
     }
 
 
-def save_trial_reports(reports: list[TrialReport], path) -> None:
+def _write_csv(path, header, rows) -> None:
+    """``header`` and then each of ``rows`` as one comma-separated line
+    ending in a bare newline."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(TRIALS_HEADER)
-        for r in reports:
-            writer.writerow(
-                [r.trial, r.l_index, r.l, r.seed, r.outcome, repr(r.max_freq_dev),
-                 r.max_tuple_size, "true" if r.graph_equal else "false"]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_trial_reports(reports: list[TrialReport], path) -> None:
+    _write_csv(path, TRIALS_HEADER, (
+        [r.trial, r.l_index, r.l, r.seed, r.outcome, repr(r.max_freq_dev),
+         r.max_tuple_size, "true" if r.graph_equal else "false"]
+        for r in reports
+    ))
 
 
 def run_experiment(config: ExperimentConfig, write_timings: bool = False) -> dict:
@@ -283,13 +287,11 @@ def run_experiment(config: ExperimentConfig, write_timings: bool = False) -> dic
     ]
     summary = summarize(config, reports, sizes)
     save_trial_reports(reports, os.path.join(config.output_dir, "trials.csv"))
-    with open(os.path.join(config.output_dir, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=2)
-        f.write("\n")
+    _write_json(summary, os.path.join(config.output_dir, "summary.json"))
     if write_timings:
-        with open(os.path.join(config.output_dir, "timings.csv"), "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["trial", "l_index", "wall_time_ms"])
-            for r in reports:
-                writer.writerow([r.trial, r.l_index, repr(r.wall_time_ms)])
+        _write_csv(
+            os.path.join(config.output_dir, "timings.csv"),
+            ["trial", "l_index", "wall_time_ms"],
+            ([r.trial, r.l_index, repr(r.wall_time_ms)] for r in reports),
+        )
     return summary

@@ -1,5 +1,6 @@
 """Ordered discrete Bayesian networks: representation, validation, exact joints,
-random instance generation, and the JSON file format.
+random instance generation, and the JSON file format, whose layout every
+JSON file the package writes or reads shares (``_write_json``, ``_read_json``).
 
 Nodes are indexed 1..n in the fixed variable ordering. Node j takes integer
 values 0..cards[j-1]-1; parent sets are subsets of {1,...,j-1} of size at most
@@ -367,14 +368,29 @@ def dag_from_dict(data: dict) -> DiscreteDag:
     return DiscreteDag(**{key: data[key] for key in _DAG_FIELDS})
 
 
+def _dump_json(data, f) -> None:
+    """``data`` to the open text file ``f`` in the one JSON layout: a 2-space
+    indent and a final newline. ``json.dump`` streams its chunks, so a large
+    document is never held as one string. Tuples are written as lists."""
+    json.dump(data, f, indent=2)
+    f.write("\n")
+
+
+def _write_json(data, path) -> None:
+    with open(path, "w") as f:
+        _dump_json(data, f)
+
+
+def _read_json(path):
+    with open(path) as f:
+        return json.load(f)
+
+
 def save_dag(dag: DiscreteDag, path) -> None:
     """Write the JSON representation; floats round-trip bit-exactly."""
-    with open(path, "w") as f:
-        json.dump(dag_to_dict(dag), f, indent=2)
-        f.write("\n")
+    _write_json(dag_to_dict(dag), path)
 
 
 def load_dag(path) -> DiscreteDag:
     """Read a DAG file; an invalid network raises InvalidDagError."""
-    with open(path) as f:
-        return dag_from_dict(json.load(f))
+    return dag_from_dict(_read_json(path))

@@ -37,6 +37,8 @@ __all__ = [
 
 EXACT_TOL = 1e-9
 
+_BOOLS = frozenset((bool, np.bool_))
+
 
 class TupleSizeError(ValueError):
     """A marginal query exceeded the provider's tuple-size budget."""
@@ -61,12 +63,17 @@ class AccessLog:
 
 
 def _integer_positions(positions) -> tuple[int, ...]:
-    """``positions`` as ints; numpy integers pass, and a float raises a
-    ValueError naming the positions rather than being truncated."""
+    """``positions`` as ints under the rule of ``model._index``: numpy
+    integers pass, and a float or a bool raises a ValueError naming the
+    positions rather than being truncated or read as 0 or 1. Every query
+    reads its positions here, so bools are found by type in one pass."""
     try:
-        return tuple(map(operator.index, positions))
+        given = tuple(positions)
+        if _BOOLS.isdisjoint(map(type, given)):
+            return tuple(map(operator.index, given))
     except TypeError:
-        raise ValueError(f"positions must be integers, got {positions!r}") from None
+        pass
+    raise ValueError(f"positions must be integers, got {positions!r}")
 
 
 def _check_positions(positions, n) -> tuple[int, ...]:

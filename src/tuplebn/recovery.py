@@ -59,14 +59,18 @@ class ProviderCiDecider:
     """Threshold decider over a marginal provider.
 
     Judges dependence via the cross-multiplied statistic; ``threshold`` is
-    both the dependence cutoff and the context-mass skip level. Every query
-    stays within the provider's tuple budget. Decisions are not cached: a
-    search seldom repeats one, and the provider caches the tables behind it.
+    both the dependence cutoff and the context-mass skip level, so it must
+    be below 1: no context has more mass, and at 1 every context would be
+    skipped and every decision read independent. Every query stays within
+    the provider's tuple budget. Decisions are not cached: a search seldom
+    repeats one, and the provider caches the tables behind it.
     """
 
     def __init__(self, provider, threshold: float):
         if not 0 < threshold < math.inf:  # written so that a NaN fails it
             raise ValueError(f"threshold must be finite and > 0, got {threshold}")
+        if threshold >= 1:
+            raise ValueError(f"threshold must be in (0, 1), got {threshold}")
         self.provider = provider
         self.threshold = float(threshold)
 
@@ -86,11 +90,13 @@ def empirical_ci_decider(provider, epsilon: float) -> ProviderCiDecider:
     4*epsilon is the worst-case first-order propagation of a uniform
     frequency error epsilon through the dependence statistic. Contexts whose
     empirical mass is at or below it are skipped: they carry no reliable
-    signal. An epsilon large enough that the threshold reaches 1 makes every
-    context skippable and every decision independent.
+    signal. An epsilon of 0.25 or more, whose threshold reaches 1, is
+    refused: it would skip every context and judge every pair independent.
     """
     if not 0 < epsilon < math.inf:  # written so that a NaN fails it
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    if epsilon >= 0.25:
+        raise ValueError(f"epsilon must be in (0, 0.25), so that the threshold 4*epsilon is below 1, got {epsilon}")
     return ProviderCiDecider(provider, 4.0 * epsilon)
 
 

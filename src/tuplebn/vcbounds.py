@@ -15,12 +15,11 @@ intended positive sign.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import _index
+from .model import _index, _write_json
 
 __all__ = [
     "Certificate",
@@ -37,7 +36,6 @@ __all__ = [
     "vc_lower_bound",
     "vc_upper_bound",
     "verify_shattered",
-    "witness_to_dict",
 ]
 
 SEARCH_CAP = 2**40
@@ -259,37 +257,13 @@ def verify_shattered(witness: ShatterWitness, k: int) -> VerifyResult:
     return VerifyResult(True, tuple(certs), None)
 
 
-def witness_to_dict(witness: ShatterWitness) -> dict:
-    return {
-        "n": witness.n,
-        "k": witness.k,
-        "l_points": witness.l_points,
-        "matrix": [list(row) for row in witness.matrix],
-        "value_pairs": [list(p) for p in witness.value_pairs],
-        "points": [list(p) for p in witness.points],
-    }
-
-
-def verify_result_to_dict(result: VerifyResult) -> dict:
-    return {
-        "ok": result.ok,
-        "failing_subset": list(result.failing_subset) if result.failing_subset is not None else None,
-        "certificates": [
-            {
-                "subset_index": c.subset_index,
-                "indicator": list(c.indicator),
-                "column": c.column,
-                "positions": list(c.positions),
-                "values": list(c.values),
-                "members": list(c.members),
-            }
-            for c in result.certificates
-        ],
-    }
-
-
 def save_witness(witness: ShatterWitness, result: VerifyResult, path) -> None:
-    """Witness plus its verification outcome in one JSON document."""
-    with open(path, "w") as f:
-        json.dump({"witness": witness_to_dict(witness), "verification": verify_result_to_dict(result)}, f, indent=2)
-        f.write("\n")
+    """Witness plus its verification outcome in one JSON document. The
+    witness and each certificate are written field by field in declared
+    order; the verification object lists ok, failing_subset, certificates."""
+    verification = {
+        "ok": result.ok,
+        "failing_subset": result.failing_subset,
+        "certificates": [vars(c) for c in result.certificates],
+    }
+    _write_json({"witness": vars(witness), "verification": verification}, path)

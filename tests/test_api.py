@@ -26,6 +26,7 @@ REMOVED = (
     "require_valid",
     "validate_dag",
     "witness_from_dict",
+    "witness_to_dict",
 )
 
 

@@ -189,6 +189,17 @@ def test_recover_empirical_refuses_nan_and_infinite_epsilon(tmp_path, capsys, ep
     assert not (tmp_path / "o.json").exists()
 
 
+def test_recover_empirical_refuses_epsilon_of_a_quarter_or_more(tmp_path, capsys):
+    # at 4*epsilon >= 1 every context would be skipped and the graph come out empty
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("x1,x2\n0,0\n1,1\n")
+    code = run(["recover", "--mode", "empirical", "--samples", str(csv_path), "--delta", "1",
+                "--epsilon", "0.3", "--output", str(tmp_path / "o.json")])
+    assert code == EXIT_USAGE
+    assert only_error_line(capsys).startswith("error: epsilon must be in (0, 0.25)")
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_recover_missing_input_is_usage_error(tmp_path):
     code = run(["recover", "--mode", "exact", "--dag", str(tmp_path / "nope.json"),
                 "--delta", "1", "--output", str(tmp_path / "o.json")])

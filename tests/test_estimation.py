@@ -16,6 +16,7 @@ from tuplebn import (
     SampleMatrix,
     EmpiricalMarginalProvider,
     ExactMarginalProvider,
+    ProviderCiDecider,
     TupleSizeError,
     dependence_statistic,
     empirical_ci_decider,
@@ -120,7 +121,7 @@ def test_tuple_frequencies_sparse_only_realized_keys():
     assert frequencies_to_dict(freq)["counts"] == [{"positions": [1, 2], "values": [0, 0], "count": 1}]
 
 
-@pytest.mark.parametrize("positions", [(2, 1), (0, 3), (1, 1), (1,), (1, 2, 3), (1.7, 2.9), (1, 3.0)])
+@pytest.mark.parametrize("positions", [(2, 1), (0, 3), (1, 1), (1,), (1, 2, 3), (1.7, 2.9), (1, 3.0), (True, 2)])
 def test_dense_counts_rejects_other_than_a_stored_position_set(chain_dag, positions):
     freq = tuple_frequencies(sample(chain_dag, 50, seed=0), 2)
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -181,9 +182,14 @@ def test_dependence_statistic_product_measure_zero(product_joint):
 
 
 def test_large_epsilon_always_independent(xor_joint):
-    # threshold 4*eps >= 1 exceeds any achievable statistic on binary data
+    # a threshold 4*eps >= 1 would skip every context, since no mass exceeds
+    # 1, and so judge every pair independent: such an epsilon is refused
     provider = ExactMarginalProvider(xor_joint, 3)
-    assert empirical_ci_decider(provider, 0.25).decide((1,), (3,), (2,))
+    for eps in (0.25, 0.3, 1000.0):
+        with pytest.raises(ValueError, match=rf"^epsilon must be in \(0, 0.25\), .* got {eps}$"):
+            empirical_ci_decider(provider, eps)
+    with pytest.raises(ValueError, match=r"^threshold must be in \(0, 1\), got 1.0$"):
+        ProviderCiDecider(provider, 1.0)
 
 
 def test_empirical_matches_exact_decision_at_large_l(chain_dag, chain_joint):

@@ -86,7 +86,8 @@ def test_config_file_field_d_is_named(value):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("alpha", math.inf), ("floor", 0.5), ("epsilon", math.inf), ("markov_tol", math.inf), ("markov_tol", 0.0),
+    ("alpha", math.inf), ("floor", 0.5), ("epsilon", math.inf), ("epsilon", 0.25), ("markov_tol", math.inf),
+    ("markov_tol", 0.0),
 ])
 def test_config_refuses_out_of_range_reals(field, value):
     data = {

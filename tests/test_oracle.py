@@ -52,6 +52,15 @@ def test_fractional_positions_are_refused_not_truncated(chain_joint):
     for call in calls:
         with pytest.raises(ValueError, match=r"positions must be integers, got \(\d\.\d"):
             call()
+    # a bool is not read as position 0 or 1
+    for call in [
+        lambda: marginal(chain_joint, (True, 2)),
+        lambda: provider.table((True, 2)),
+        lambda: provider.table((np.True_, 2)),
+        lambda: dependence_statistic(provider, (True,), (2,), (), EXACT_TOL),
+    ]:
+        with pytest.raises(ValueError, match=r"positions must be integers, got \((np\.)?True"):
+            call()
     assert provider.access_log.queries == 0
     # numpy integers are integers
     assert np.array_equal(marginal(chain_joint, (np.int64(2),)), marginal(chain_joint, (2,)))
