@@ -30,6 +30,7 @@ from .model import _dump_json, _write_json, factorized_joint, load_dag, random_d
 from .oracle import is_markov_relative
 from .recovery import (
     ModelViolationError,
+    _check_epsilon,
     attach_cpts,
     empirical_ci_decider,
     exact_ci_decider,
@@ -128,6 +129,7 @@ def cmd_recover(args) -> int:
             raise ValueError("--samples is required in empirical mode")
         if args.epsilon is None:
             raise ValueError("--epsilon is required in empirical mode")
+        _check_epsilon(args.epsilon)  # before the samples are read
         cards = _parse_cards(args.cards) if args.cards else None
         samples = load_samples(args.samples, cards)
         n = samples.n

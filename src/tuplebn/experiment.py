@@ -7,9 +7,10 @@ full tuple budget, and validates the result against the exact joint. The
 search runs before the joint is built, so a cell whose joint is above the
 capacity guard still records its tuple size and graph equality. Such a
 cell, or one whose recovery or validation raises, is recorded with outcome
-``error`` (``model-violation`` if the search found one) and the grid goes
-on. Reports go to ``trials.csv`` plus an aggregate ``summary.json``; both
-are byte-identical across reruns with the same configuration. Wall-clock
+``error`` (``model-violation`` if the search found one), its exception is
+logged on the ``tuplebn.experiment`` logger, and the grid goes on. Reports
+go to ``trials.csv`` plus an aggregate ``summary.json``; both are
+byte-identical across reruns with the same configuration. Wall-clock
 timings are kept on the in-memory reports and written only on request, to
 a separate file, so the primary artifacts stay reproducible.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import logging
 import math
 import os
 import time
@@ -45,6 +47,9 @@ OUTCOME_OK = "markov-ok"
 OUTCOME_VIOLATION = "model-violation"
 OUTCOME_FAIL = "markov-fail"
 OUTCOME_ERROR = "error"
+
+_log = logging.getLogger(__name__)
+_log.addHandler(logging.NullHandler())
 
 TRIALS_HEADER = ["trial", "l_index", "l", "seed", "outcome", "max_freq_dev", "max_tuple_size", "graph_equal"]
 
@@ -193,10 +198,10 @@ def run_trial_cell(config: ExperimentConfig, trial: int, l_index: int) -> TrialR
         if recovered is not None:
             ok = is_markov_relative(joint, recovered, tol=config.markov_tol)
             outcome = OUTCOME_OK if ok else OUTCOME_FAIL
-    except Exception:
+    except Exception as exc:
         # a cell failure must not abort the batch; the outcome stays error,
         # or model-violation when the search found one
-        pass
+        _log.warning("cell (trial %d, l=%d) failed: %s: %s", trial, l, type(exc).__name__, exc, exc_info=True)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return TrialReport(
         trial=trial,

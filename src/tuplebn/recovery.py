@@ -93,11 +93,17 @@ def empirical_ci_decider(provider, epsilon: float) -> ProviderCiDecider:
     signal. An epsilon of 0.25 or more, whose threshold reaches 1, is
     refused: it would skip every context and judge every pair independent.
     """
+    return ProviderCiDecider(provider, 4.0 * _check_epsilon(epsilon))
+
+
+def _check_epsilon(epsilon: float) -> float:
+    """``epsilon`` if the empirical decider accepts it: finite and in
+    (0, 0.25). The CLI calls it before it reads any sample."""
     if not 0 < epsilon < math.inf:  # written so that a NaN fails it
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     if epsilon >= 0.25:
         raise ValueError(f"epsilon must be in (0, 0.25), so that the threshold 4*epsilon is below 1, got {epsilon}")
-    return ProviderCiDecider(provider, 4.0 * epsilon)
+    return epsilon
 
 
 @dataclass(frozen=True)

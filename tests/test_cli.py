@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -200,6 +201,16 @@ def test_recover_empirical_refuses_epsilon_of_a_quarter_or_more(tmp_path, capsys
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("epsilon", ["0.25", "0.3", "nan", "0", "inf"])
+def test_recover_empirical_checks_epsilon_before_reading_samples(tmp_path, capsys, epsilon):
+    # the samples path does not exist: the epsilon error comes first
+    code = run(["recover", "--mode", "empirical", "--samples", str(tmp_path / "missing.csv"), "--delta", "1",
+                "--epsilon", epsilon, "--output", str(tmp_path / "o.json")])
+    assert code == EXIT_USAGE
+    assert only_error_line(capsys).startswith("error: epsilon must be ")
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_recover_missing_input_is_usage_error(tmp_path):
     code = run(["recover", "--mode", "exact", "--dag", str(tmp_path / "nope.json"),
                 "--delta", "1", "--output", str(tmp_path / "o.json")])
@@ -286,6 +297,30 @@ def test_experiment_smoke(tmp_path, capsys):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["per_l"][0]["trials"] == 2
     assert summary["max_tuple_size_overall"] <= 3
+
+
+def test_error_cell_logs_its_exception_outside_the_artifacts(tmp_path, capsys, caplog):
+    cfg = {
+        "n": 25, "delta": 1, "d": 2,
+        "sample_sizes": [200], "epsilon": 0.01, "delta_risk": 0.05,
+        "trials": 2, "seed": 5, "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    artifacts = []
+    for level in (logging.CRITICAL, logging.WARNING):
+        with caplog.at_level(level, logger="tuplebn.experiment"):
+            assert run(["experiment", "--config", str(cfg_path)]) == EXIT_OK
+        artifacts.append([(tmp_path / "out" / f).read_bytes() for f in ("trials.csv", "summary.json")])
+    assert artifacts[0] == artifacts[1]
+    assert capsys.readouterr().err == ""  # silent unless the application configures logging
+    assert [(r.name, r.levelno) for r in caplog.records] == [("tuplebn.experiment", logging.WARNING)] * 2
+    for trial, record in enumerate(caplog.records):
+        assert record.exc_info[0].__name__ == "CapacityError"
+        assert record.getMessage() == (
+            f"cell (trial {trial}, l=200) failed: CapacityError: dense joint needs 33554432 entries,"
+            " above the capacity guard 16777216"
+        )
 
 
 def test_experiment_cell_above_joint_capacity_is_an_error_cell(tmp_path, capsys):

@@ -1,8 +1,14 @@
 import itertools
+import math
+import os
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+from tuplebn import oracle
 from tuplebn import (
     EXACT_TOL,
     DiscreteDag,
@@ -101,6 +107,149 @@ def test_marginal_bit_identical_to_full_sum(cards, seed):
         assert not p.flags.writeable
         assert joint.prefix(m) is p
     assert joint.prefix(joint.n) is joint.probs
+
+
+# The two-part fold is tested on joints of 2^14 to 2^15 entries, with the
+# split size lowered to 2^14 and two CPUs assumed, so that the tests stay
+# small and run the split on a one-CPU machine too.
+SPLIT_JOINTS = [
+    ((2,) * 15, 5),
+    ((3,) * 9, 6),  # the first kept axis has card 3: parts of 1 and 2 slices
+    ((1,) + (2,) * 14, 7),  # the first kept axis has card 1: no cut
+]
+
+
+# the fewest binary variables whose joint is as large as the split size
+LEAST_SPLIT_N = oracle._SPLIT_ENTRIES.bit_length() - 1
+MIN_OVERLAP = oracle._MIN_OVERLAP
+
+
+@pytest.fixture
+def always_split(monkeypatch):
+    """A fresh folder that splits every large prefix it may cut, whatever
+    the overlap it measures."""
+    folder = oracle._Folder()
+    monkeypatch.setattr(oracle, "_FOLDER", folder)
+    monkeypatch.setattr(oracle, "_MIN_OVERLAP", 0.0)
+    monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
+    yield
+    if folder._pool is not None:
+        folder._pool.shutdown()
+
+
+@pytest.fixture
+def small_split(always_split, monkeypatch):
+    monkeypatch.setattr(oracle, "_SPLIT_ENTRIES", 1 << 14)
+
+
+def _joint(cards, seed):
+    return factorized_joint(random_dag(len(cards), 2, cards, seed=seed))
+
+
+def _split_queries(joint, k_max=3):
+    """Position sets of up to k_max positions whose prefix over 1..last
+    position has at least oracle._SPLIT_ENTRIES entries."""
+    for k in range(1, k_max + 1):
+        for pos in itertools.combinations(range(1, joint.n + 1), k):
+            if math.prod(joint.cards[:pos[-1]]) >= oracle._SPLIT_ENTRIES:
+                yield pos
+
+
+@pytest.mark.parametrize("cards, seed", SPLIT_JOINTS)
+def test_split_marginal_bit_identical_to_full_sum(cards, seed, small_split):
+    joint = _joint(cards, seed)
+    for pos in _split_queries(joint):
+        m = marginal(joint, pos)
+        assert m.tobytes() == old_marginal_probs(joint, pos).tobytes(), pos
+        assert not m.flags.writeable
+
+
+@pytest.fixture
+def folded_parts(monkeypatch):
+    """The shapes of the parts _fold_rows folds, in the caller or the worker."""
+    parts = []
+    fold = oracle._fold_rows
+    monkeypatch.setattr(oracle, "_fold_rows", lambda part, rows: parts.append(part.shape) or fold(part, rows))
+    return parts
+
+
+def test_split_marginal_cuts_only_where_it_may(always_split, folded_parts):
+    n = LEAST_SPLIT_N
+    joint = _joint((2,) * n, 8)
+    assert joint.probs.size == oracle._SPLIT_ENTRIES
+    for pos, count in [
+        ((3, n), 2),  # two cells per slice of position 3: cut
+        ((3, 9, n), 2),
+        ((3, n - 1), 0),  # a prefix below the split size: the inline fold
+        ((n,), 1),  # one cell per part would be summed pairwise
+    ]:
+        folded_parts.clear()
+        assert marginal(joint, pos).tobytes() == old_marginal_probs(joint, pos).tobytes(), pos
+        assert len(folded_parts) == count, pos
+    folded_parts.clear()
+    marginal(_joint((1,) + (2,) * n, 9), (1, 2, n + 1))  # position 1 has card 1
+    assert len(folded_parts) == 1
+
+
+def test_one_cpu_folds_in_the_calling_thread(small_split, monkeypatch):
+    monkeypatch.setattr(oracle, "_worker_count", lambda: 1)
+    threads = set(threading.enumerate())
+    for cards, seed in SPLIT_JOINTS[:2]:
+        joint = _joint(cards, seed)
+        for pos in _split_queries(joint, k_max=2):
+            assert marginal(joint, pos).tobytes() == old_marginal_probs(joint, pos).tobytes(), pos
+    assert set(threading.enumerate()) <= threads
+    assert oracle._FOLDER._pool is None
+
+
+def test_a_split_that_does_not_overlap_gives_way_to_one_thread(always_split, folded_parts, monkeypatch):
+    monkeypatch.setattr(oracle, "_MIN_OVERLAP", MIN_OVERLAP)
+    pos = (3, LEAST_SPLIT_N)
+    joint = _joint((2,) * LEAST_SPLIT_N, 8)
+    expected = old_marginal_probs(joint, pos).tobytes()
+    folder = oracle._FOLDER
+    folder._overlap = 1.0  # the two parts took turns on one CPU
+    for fold in range(1, 2 * oracle._PROBE_EVERY + 1):
+        folded_parts.clear()
+        assert marginal(joint, pos).tobytes() == expected
+        # one part, but every _PROBE_EVERY-th fold is split to measure again
+        assert len(folded_parts) == (1 if fold % oracle._PROBE_EVERY else 2), fold
+        folder._overlap = 1.0
+    folder._overlap = 2.0  # the two parts ran at once
+    folded_parts.clear()
+    marginal(joint, pos)
+    assert len(folded_parts) == 2
+    assert folder._overlap != 2.0  # the split measured its overlap
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_folds_without_the_parent_worker(small_split):
+    joint = _joint(*SPLIT_JOINTS[0])
+    pos = (2, 14, 15)
+    expected = old_marginal_probs(joint, pos).tobytes()
+    marginal(joint, (3, 14))  # the parent's worker exists before the fork
+    assert oracle._FOLDER._pool_pid == os.getpid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if marginal(joint, pos).tobytes() == expected else 3
+            if oracle._FOLDER._pool_pid != os.getpid():
+                code = 4  # the child split without a worker of its own
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            assert os.waitstatus_to_exitcode(status) == 0
+            return
+        time.sleep(0.01)
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    pytest.fail("the forked child did not finish its marginal within 30 s")
 
 
 def test_chain_screening(chain_joint):
