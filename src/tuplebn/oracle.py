@@ -157,7 +157,10 @@ class _Folder:
     thread folds the second part while the calling thread folds the first,
     and each part keeps every row, in order. numpy sums a block of two or
     more columns row by row, but a single column pairwise, so no part is
-    cut that narrow, and with one CPU nothing is cut.
+    cut that narrow, and with one CPU nothing is cut. The calling thread
+    folds the second part itself when the worker has not started it by
+    the time the first is done, or has not finished it within as long
+    again.
 
     A split pays only while the two threads run at once. When other work
     holds the second CPU, they take turns, and the split is slower than one
@@ -191,7 +194,12 @@ class _Folder:
         if tail.cancel():  # the worker has not started: fold the part here
             rest, worker_cpu = _fold_rows(second, rows), 0.0
         else:
-            rest, worker_cpu = tail.result()
+            from concurrent.futures import TimeoutError as Late
+
+            try:  # wait at most as long as the first part took
+                rest, worker_cpu = tail.result(timeout=time.perf_counter() - start)
+            except Late:  # the worker stalls: fold its part here as well
+                rest, worker_cpu = _fold_rows(second, rows), 0.0
         cpu = time.thread_time() - cpu + worker_cpu
         self._overlap += (cpu / (time.perf_counter() - start) - self._overlap) / 4
         return np.concatenate((head, rest))

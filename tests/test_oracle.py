@@ -222,6 +222,32 @@ def test_a_split_that_does_not_overlap_gives_way_to_one_thread(always_split, fol
     assert folder._overlap != 2.0  # the split measured its overlap
 
 
+def test_a_stalled_worker_is_not_waited_for(always_split, monkeypatch):
+    started, release = threading.Event(), threading.Event()
+    fold, timed_fold = oracle._fold_rows, oracle._timed_fold
+
+    def stalled(part, rows):
+        started.set()
+        release.wait(30)
+        return timed_fold(part, rows)
+
+    def after_the_worker_starts(part, rows):
+        started.wait(30)
+        return fold(part, rows)
+
+    monkeypatch.setattr(oracle, "_timed_fold", stalled)
+    monkeypatch.setattr(oracle, "_fold_rows", after_the_worker_starts)
+    pos = (3, LEAST_SPLIT_N)
+    joint = _joint((2,) * LEAST_SPLIT_N, 8)
+    begin = time.monotonic()
+    try:
+        assert marginal(joint, pos).tobytes() == old_marginal_probs(joint, pos).tobytes()
+        assert time.monotonic() - begin < 10  # the caller folded the stalled part itself
+    finally:
+        release.set()
+    assert oracle._FOLDER._overlap < 2.0
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_folds_without_the_parent_worker(small_split):
     joint = _joint(*SPLIT_JOINTS[0])
