@@ -165,30 +165,43 @@ def test_split_marginal_bit_identical_to_full_sum(cards, seed, small_split):
 
 
 @pytest.fixture
-def folded_parts(monkeypatch):
-    """The shapes of the parts _fold_rows folds, in the caller or the worker."""
-    parts = []
+def folded_here(monkeypatch):
+    """The sizes of the parts _fold_rows folds in the calling thread. The
+    worker's part is left out: a late worker may fold it after the call."""
+    sizes = []
     fold = oracle._fold_rows
-    monkeypatch.setattr(oracle, "_fold_rows", lambda part, rows: parts.append(part.shape) or fold(part, rows))
-    return parts
+
+    def counted(part, rows):
+        if threading.current_thread() is threading.main_thread():
+            sizes.append(part.size)
+        return fold(part, rows)
+
+    monkeypatch.setattr(oracle, "_fold_rows", counted)
+    return sizes
 
 
-def test_split_marginal_cuts_only_where_it_may(always_split, folded_parts):
+def test_split_marginal_cuts_only_where_it_may(always_split, folded_here):
     n = LEAST_SPLIT_N
     joint = _joint((2,) * n, 8)
-    assert joint.probs.size == oracle._SPLIT_ENTRIES
-    for pos, count in [
-        ((3, n), 2),  # two cells per slice of position 3: cut
-        ((3, 9, n), 2),
-        ((3, n - 1), 0),  # a prefix below the split size: the inline fold
-        ((n,), 1),  # one cell per part would be summed pairwise
+    whole = joint.probs.size
+    assert whole == oracle._SPLIT_ENTRIES
+    for pos, cut in [
+        ((3, n), True),  # two cells per slice of position 3
+        ((3, 9, n), True),
+        ((3, n - 1), None),  # a prefix below the split size: the inline fold
+        ((n,), False),  # one cell per part would be summed pairwise
     ]:
-        folded_parts.clear()
+        folded_here.clear()
         assert marginal(joint, pos).tobytes() == old_marginal_probs(joint, pos).tobytes(), pos
-        assert len(folded_parts) == count, pos
-    folded_parts.clear()
+        if cut is None:
+            assert folded_here == [], pos
+        elif cut:
+            assert folded_here[0] == whole // 2, pos
+        else:
+            assert folded_here == [whole], pos
+    folded_here.clear()
     marginal(_joint((1,) + (2,) * n, 9), (1, 2, n + 1))  # position 1 has card 1
-    assert len(folded_parts) == 1
+    assert folded_here == [whole]
 
 
 def test_one_cpu_folds_in_the_calling_thread(small_split, monkeypatch):
@@ -202,23 +215,24 @@ def test_one_cpu_folds_in_the_calling_thread(small_split, monkeypatch):
     assert oracle._FOLDER._pool is None
 
 
-def test_a_split_that_does_not_overlap_gives_way_to_one_thread(always_split, folded_parts, monkeypatch):
+def test_a_split_that_does_not_overlap_gives_way_to_one_thread(always_split, folded_here, monkeypatch):
     monkeypatch.setattr(oracle, "_MIN_OVERLAP", MIN_OVERLAP)
     pos = (3, LEAST_SPLIT_N)
     joint = _joint((2,) * LEAST_SPLIT_N, 8)
+    whole = joint.probs.size
     expected = old_marginal_probs(joint, pos).tobytes()
     folder = oracle._FOLDER
     folder._overlap = 1.0  # the two parts took turns on one CPU
     for fold in range(1, 2 * oracle._PROBE_EVERY + 1):
-        folded_parts.clear()
+        folded_here.clear()
         assert marginal(joint, pos).tobytes() == expected
         # one part, but every _PROBE_EVERY-th fold is split to measure again
-        assert len(folded_parts) == (1 if fold % oracle._PROBE_EVERY else 2), fold
+        assert folded_here[0] == (whole if fold % oracle._PROBE_EVERY else whole // 2), fold
         folder._overlap = 1.0
     folder._overlap = 2.0  # the two parts ran at once
-    folded_parts.clear()
+    folded_here.clear()
     marginal(joint, pos)
-    assert len(folded_parts) == 2
+    assert folded_here[0] == whole // 2
     assert folder._overlap != 2.0  # the split measured its overlap
 
 
