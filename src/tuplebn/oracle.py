@@ -5,11 +5,8 @@ variable order: a query whose last position is m never needs positions
 m+1..n, so the joint keeps, per m, the sum over them (its prefix over
 1..m; see ``JointTable.prefix``). The queried positions are then kept and
 the other positions of the prefix folded out. The result is bit for bit
-the one numpy's ``joint.array.sum`` over the unqueried axes gives, whatever
-the CPU count, so the recovered tables do not change with the reduction. A
-large prefix is folded in two parts, the second on one worker thread, when
-the process may run on two or more CPUs and the two parts have been
-running at once.
+the one numpy's ``joint.array.sum`` over the unqueried axes gives, so the
+recovered tables do not change with the reduction.
 
 Dependence is measured in cross-multiplied form,
 ``|P(x,y,z) * P(z) - P(x,z) * P(y,z)|``, which avoids dividing by small
@@ -22,8 +19,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +39,9 @@ EXACT_TOL = 1e-9
 
 _BOOLS = frozenset((bool, np.bool_))
 
-# Prefixes of this many entries or more may be folded in two parts; below
-# it, waking the worker costs about what it saves.
-_SPLIT_ENTRIES = 1 << 17
-# Side by side, each part runs slower than alone (its CPU time grew by
-# about 15% on a 2-vCPU VM), so a split pays only while the CPU time of its
-# parts is more than that above its wall time (see _Folder).
-_MIN_OVERLAP = 1.15
-_PROBE_EVERY = 8
+# Prefixes of this many entries or more are folded by _scatter_fold; below
+# it, building the cell index costs more than not moving the prefix saves.
+_SCATTER_ENTRIES = 1 << 13
 
 
 class TupleSizeError(ValueError):
@@ -107,115 +97,51 @@ def marginal(joint: JointTable, positions) -> np.ndarray:
 
     The positions after m, the last queried position of cardinality above
     1, are summed by the joint's cached prefix over 1..m. The unqueried
-    positions before m are moved to the front of that prefix, in their
-    order, and folded out row by row. Positions of cardinality 1 take no
-    part: with them m could reach n, and a fold over the whole joint adds
-    in another order than the prefix sum. Each cell is one sequential fold
-    over its rows in lex order, so the bits are the same whatever the CPU
-    count (see ``_Folder``).
+    positions before m are folded out: each cell adds its entries one by
+    one, in the order of those positions' configurations. A small prefix
+    is folded so by moving them to the front, in their order, and summing
+    row by row; a prefix of ``_SCATTER_ENTRIES`` or more entries, by
+    ``_scatter_fold``, which adds in the same order and does not move the
+    prefix. Positions of cardinality 1 take no part: with them m could
+    reach n, and a fold over the whole joint adds in another order than
+    the prefix sum.
     """
     pos = _check_positions(positions, joint.n)
     m = max((p for p in pos if joint.cards[p - 1] > 1), default=0)
     summed = [a for a in range(m) if a + 1 not in pos and joint.cards[a] > 1]
     flat = joint.prefix(m)
     if summed:
-        kept = [a for a in range(m) if a not in summed]
-        moved = flat.reshape(joint.cards[:m]).transpose(summed + kept)
         kept_size = math.prod(joint.cards[p - 1] for p in pos)
-        if flat.size < _SPLIT_ENTRIES:
+        if flat.size < _SCATTER_ENTRIES:
+            kept = [a for a in range(m) if a not in summed]
+            moved = flat.reshape(joint.cards[:m]).transpose(summed + kept)
             flat = np.ascontiguousarray(moved).reshape(-1, kept_size).sum(axis=0)
         else:
-            flat = _FOLDER.fold(moved, len(summed), flat.size // kept_size)
+            flat = _scatter_fold(flat, joint.cards[:m], {p - 1 for p in pos if p <= m}, kept_size)
         flat.flags.writeable = False
     return flat
 
 
-def _fold_rows(part, rows: int) -> np.ndarray:
-    return np.ascontiguousarray(part).reshape(rows, -1).sum(axis=0)
+def _scatter_fold(flat, cards, kept, kept_size: int) -> np.ndarray:
+    """``flat``, row-major over ``cards``, summed over the axes not in
+    ``kept``: ``np.add.at`` adds each entry to its cell in the order the
+    entries lie, which for each cell is the order of the row fold, so the
+    bits are the same, and the prefix is not moved."""
+    dtype = np.min_scalar_type(kept_size)  # a byte per entry for up to 255 cells
+    h = len(cards) // 2  # the cell index is an outer sum of two halves
+    high, _ = _cell_index(cards[:h], {a for a in kept if a < h}, dtype)
+    low, low_size = _cell_index(cards[h:], {a - h for a in kept if a >= h}, dtype)
+    out = np.zeros(kept_size)  # numpy's row fold starts from 0.0 too: a cell of -0.0 sums to 0.0
+    np.add.at(out, (high[:, None] * dtype.type(low_size) + low).ravel(), flat)
+    return out
 
 
-def _worker_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _timed_fold(part, rows: int):
-    """``_fold_rows`` and the CPU time this thread spent on it."""
-    start = time.thread_time()
-    flat = _fold_rows(part, rows)
-    return flat, time.thread_time() - start
-
-
-class _Folder:
-    """Folds a prefix of ``_SPLIT_ENTRIES`` entries or more over its first
-    ``lead`` axes (``rows`` configurations), in two parts when that pays.
-
-    The kept cells are cut in two along the first kept axis; one worker
-    thread folds the second part while the calling thread folds the first,
-    and each part keeps every row, in order. numpy sums a block of two or
-    more columns row by row, but a single column pairwise, so no part is
-    cut that narrow, and with one CPU nothing is cut. The calling thread
-    folds the second part itself when the worker has not started it by
-    the time the first is done, or has not finished it within as long
-    again.
-
-    A split pays only while the two threads run at once. When other work
-    holds the second CPU, they take turns, and the split is slower than one
-    thread. So each split measures the CPU time of its two parts over its
-    wall time, and the folder keeps a running mean of that ratio (the newest
-    split weighs 1/4). Below ``_MIN_OVERLAP`` large prefixes are folded in
-    one part, and every ``_PROBE_EVERY``-th is split to measure again. Both
-    ways give the same bits. Callers on several threads may race on the
-    running mean; a lost update only delays a choice.
-    """
-
-    def __init__(self):
-        self._pool = None
-        self._pool_pid = None
-        self._overlap = 2.0  # until measured, the parts are taken to run at once
-        self._folds = 0
-
-    def fold(self, moved, lead: int, rows: int) -> np.ndarray:
-        card = moved.shape[lead]
-        cut = card // 2
-        if cut * (moved.size // rows // card) < 2 or _worker_count() < 2:
-            return _fold_rows(moved, rows)
-        self._folds += 1
-        if self._overlap < _MIN_OVERLAP and self._folds % _PROBE_EVERY:
-            return _fold_rows(moved, rows)
-        at = (slice(None),) * lead
-        second = moved[at + (slice(cut, None),)]
-        start, cpu = time.perf_counter(), time.thread_time()
-        tail = self._executor().submit(_timed_fold, second, rows)
-        head = _fold_rows(moved[at + (slice(None, cut),)], rows)
-        if tail.cancel():  # the worker has not started: fold the part here
-            rest, worker_cpu = _fold_rows(second, rows), 0.0
-        else:
-            from concurrent.futures import TimeoutError as Late
-
-            try:  # wait at most as long as the first part took
-                rest, worker_cpu = tail.result(timeout=time.perf_counter() - start)
-            except Late:  # the worker stalls: fold its part here as well
-                rest, worker_cpu = _fold_rows(second, rows), 0.0
-        cpu = time.thread_time() - cpu + worker_cpu
-        self._overlap += (cpu / (time.perf_counter() - start) - self._overlap) / 4
-        return np.concatenate((head, rest))
-
-    def _executor(self):
-        """The one worker, made on first use and again in a forked child,
-        which does not inherit its parent's thread."""
-        if self._pool_pid != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="tuplebn-fold")
-            self._pool_pid = os.getpid()
-        return self._pool
-
-
-_FOLDER = _Folder()
+def _cell_index(cards, kept, dtype):
+    """For each entry of a row-major array over ``cards``, its row-major
+    index over the ``kept`` axes; and the number of such cells."""
+    shape = [c if a in kept else 1 for a, c in enumerate(cards)]
+    size = math.prod(shape)
+    return np.broadcast_to(np.arange(size, dtype=dtype).reshape(shape), cards).ravel(), size
 
 
 def _disjoint_sorted(*groups):

@@ -1,19 +1,14 @@
 import itertools
-import math
-import os
-import threading
-import time
-import warnings
 
 import numpy as np
 import pytest
 
-from tuplebn import oracle
 from tuplebn import (
     EXACT_TOL,
     DiscreteDag,
     ExactMarginalProvider,
     InvalidDagError,
+    JointTable,
     ProviderCiDecider,
     TupleSizeError,
     dependence_statistic,
@@ -91,11 +86,16 @@ def old_marginal_probs(joint, pos):
     ((2, 3, 2, 4, 2, 3, 5), 2),
     ((1, 2, 1, 3, 1, 2, 2, 1), 3),
     ((2, 1, 3, 12, 2, 2, 1), 4),
+    # prefixes of oracle._SCATTER_ENTRIES entries or more take _scatter_fold
+    ((2,) * 15, 5),
+    ((3,) * 9, 6),
+    ((1,) + (2,) * 14, 7),
 ])
 def test_marginal_bit_identical_to_full_sum(cards, seed):
     joint = factorized_joint(random_dag(len(cards), 2, cards, seed=seed))
     provider = ExactMarginalProvider(joint, 5)
-    for k in range(1, 6):
+    k_max = 5 if joint.n < 9 else 3  # the large joints read fewer sets, to keep the test short
+    for k in range(1, k_max + 1):
         for pos in itertools.combinations(range(1, joint.n + 1), k):
             expected = old_marginal_probs(joint, pos).tobytes()
             m = marginal(joint, pos)
@@ -109,187 +109,18 @@ def test_marginal_bit_identical_to_full_sum(cards, seed):
     assert joint.prefix(joint.n) is joint.probs
 
 
-# The two-part fold is tested on joints of 2^14 to 2^15 entries, with the
-# split size lowered to 2^14 and two CPUs assumed, so that the tests stay
-# small and run the split on a one-CPU machine too.
-SPLIT_JOINTS = [
-    ((2,) * 15, 5),
-    ((3,) * 9, 6),  # the first kept axis has card 3: parts of 1 and 2 slices
-    ((1,) + (2,) * 14, 7),  # the first kept axis has card 1: no cut
-]
 
-
-# the fewest binary variables whose joint is as large as the split size
-LEAST_SPLIT_N = oracle._SPLIT_ENTRIES.bit_length() - 1
-MIN_OVERLAP = oracle._MIN_OVERLAP
-
-
-@pytest.fixture
-def always_split(monkeypatch):
-    """A fresh folder that splits every large prefix it may cut, whatever
-    the overlap it measures."""
-    folder = oracle._Folder()
-    monkeypatch.setattr(oracle, "_FOLDER", folder)
-    monkeypatch.setattr(oracle, "_MIN_OVERLAP", 0.0)
-    monkeypatch.setattr(oracle, "_worker_count", lambda: 2)
-    yield
-    if folder._pool is not None:
-        folder._pool.shutdown()
-
-
-@pytest.fixture
-def small_split(always_split, monkeypatch):
-    monkeypatch.setattr(oracle, "_SPLIT_ENTRIES", 1 << 14)
-
-
-def _joint(cards, seed):
-    return factorized_joint(random_dag(len(cards), 2, cards, seed=seed))
-
-
-def _split_queries(joint, k_max=3):
-    """Position sets of up to k_max positions whose prefix over 1..last
-    position has at least oracle._SPLIT_ENTRIES entries."""
-    for k in range(1, k_max + 1):
-        for pos in itertools.combinations(range(1, joint.n + 1), k):
-            if math.prod(joint.cards[:pos[-1]]) >= oracle._SPLIT_ENTRIES:
-                yield pos
-
-
-@pytest.mark.parametrize("cards, seed", SPLIT_JOINTS)
-def test_split_marginal_bit_identical_to_full_sum(cards, seed, small_split):
-    joint = _joint(cards, seed)
-    for pos in _split_queries(joint):
+@pytest.mark.parametrize("n", [8, 14])
+def test_marginal_keeps_negative_zero(n):
+    # numpy's row fold starts from 0.0, so a cell whose entries are all
+    # -0.0 sums to 0.0; the fold of a large prefix must agree
+    probs = factorized_joint(random_dag(n, 2, 2, seed=n)).array.copy()
+    probs[..., 1] = -0.0
+    probs /= probs.sum()
+    joint = JointTable((2,) * n, probs)
+    for pos in [(3, n), (n,), (1, 2, n)]:
         m = marginal(joint, pos)
         assert m.tobytes() == old_marginal_probs(joint, pos).tobytes(), pos
-        assert not m.flags.writeable
-
-
-@pytest.fixture
-def folded_here(monkeypatch):
-    """The sizes of the parts _fold_rows folds in the calling thread. The
-    worker's part is left out: a late worker may fold it after the call."""
-    sizes = []
-    fold = oracle._fold_rows
-
-    def counted(part, rows):
-        if threading.current_thread() is threading.main_thread():
-            sizes.append(part.size)
-        return fold(part, rows)
-
-    monkeypatch.setattr(oracle, "_fold_rows", counted)
-    return sizes
-
-
-def test_split_marginal_cuts_only_where_it_may(always_split, folded_here):
-    n = LEAST_SPLIT_N
-    joint = _joint((2,) * n, 8)
-    whole = joint.probs.size
-    assert whole == oracle._SPLIT_ENTRIES
-    for pos, cut in [
-        ((3, n), True),  # two cells per slice of position 3
-        ((3, 9, n), True),
-        ((3, n - 1), None),  # a prefix below the split size: the inline fold
-        ((n,), False),  # one cell per part would be summed pairwise
-    ]:
-        folded_here.clear()
-        assert marginal(joint, pos).tobytes() == old_marginal_probs(joint, pos).tobytes(), pos
-        if cut is None:
-            assert folded_here == [], pos
-        elif cut:
-            assert folded_here[0] == whole // 2, pos
-        else:
-            assert folded_here == [whole], pos
-    folded_here.clear()
-    marginal(_joint((1,) + (2,) * n, 9), (1, 2, n + 1))  # position 1 has card 1
-    assert folded_here == [whole]
-
-
-def test_one_cpu_folds_in_the_calling_thread(small_split, monkeypatch):
-    monkeypatch.setattr(oracle, "_worker_count", lambda: 1)
-    threads = set(threading.enumerate())
-    for cards, seed in SPLIT_JOINTS[:2]:
-        joint = _joint(cards, seed)
-        for pos in _split_queries(joint, k_max=2):
-            assert marginal(joint, pos).tobytes() == old_marginal_probs(joint, pos).tobytes(), pos
-    assert set(threading.enumerate()) <= threads
-    assert oracle._FOLDER._pool is None
-
-
-def test_a_split_that_does_not_overlap_gives_way_to_one_thread(always_split, folded_here, monkeypatch):
-    monkeypatch.setattr(oracle, "_MIN_OVERLAP", MIN_OVERLAP)
-    pos = (3, LEAST_SPLIT_N)
-    joint = _joint((2,) * LEAST_SPLIT_N, 8)
-    whole = joint.probs.size
-    expected = old_marginal_probs(joint, pos).tobytes()
-    folder = oracle._FOLDER
-    folder._overlap = 1.0  # the two parts took turns on one CPU
-    for fold in range(1, 2 * oracle._PROBE_EVERY + 1):
-        folded_here.clear()
-        assert marginal(joint, pos).tobytes() == expected
-        # one part, but every _PROBE_EVERY-th fold is split to measure again
-        assert folded_here[0] == (whole if fold % oracle._PROBE_EVERY else whole // 2), fold
-        folder._overlap = 1.0
-    folder._overlap = 2.0  # the two parts ran at once
-    folded_here.clear()
-    marginal(joint, pos)
-    assert folded_here[0] == whole // 2
-    assert folder._overlap != 2.0  # the split measured its overlap
-
-
-def test_a_stalled_worker_is_not_waited_for(always_split, monkeypatch):
-    started, release = threading.Event(), threading.Event()
-    fold, timed_fold = oracle._fold_rows, oracle._timed_fold
-
-    def stalled(part, rows):
-        started.set()
-        release.wait(30)
-        return timed_fold(part, rows)
-
-    def after_the_worker_starts(part, rows):
-        started.wait(30)
-        return fold(part, rows)
-
-    monkeypatch.setattr(oracle, "_timed_fold", stalled)
-    monkeypatch.setattr(oracle, "_fold_rows", after_the_worker_starts)
-    pos = (3, LEAST_SPLIT_N)
-    joint = _joint((2,) * LEAST_SPLIT_N, 8)
-    begin = time.monotonic()
-    try:
-        assert marginal(joint, pos).tobytes() == old_marginal_probs(joint, pos).tobytes()
-        assert time.monotonic() - begin < 10  # the caller folded the stalled part itself
-    finally:
-        release.set()
-    assert oracle._FOLDER._overlap < 2.0
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_folds_without_the_parent_worker(small_split):
-    joint = _joint(*SPLIT_JOINTS[0])
-    pos = (2, 14, 15)
-    expected = old_marginal_probs(joint, pos).tobytes()
-    marginal(joint, (3, 14))  # the parent's worker exists before the fork
-    assert oracle._FOLDER._pool_pid == os.getpid()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
-        pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            code = 0 if marginal(joint, pos).tobytes() == expected else 3
-            if oracle._FOLDER._pool_pid != os.getpid():
-                code = 4  # the child split without a worker of its own
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            assert os.waitstatus_to_exitcode(status) == 0
-            return
-        time.sleep(0.01)
-    os.kill(pid, 9)
-    os.waitpid(pid, 0)
-    pytest.fail("the forked child did not finish its marginal within 30 s")
 
 
 def test_chain_screening(chain_joint):
