@@ -108,7 +108,7 @@ def cmd_estimate(args) -> int:
     cards = _parse_cards(args.cards) if args.cards else None
     samples = load_samples(args.samples, cards)
     freq = tuple_frequencies(samples, args.k)
-    save_frequencies(freq, args.output)
+    save_frequencies(freq, args.output)  # counts every position set
     realized = sum(int(np.count_nonzero(arr)) for arr in freq.counts.values())
     print(f"counted {realized} realized {args.k}-tuple keys from l={samples.l} -> {args.output}")
     return EXIT_OK

@@ -1,11 +1,10 @@
 """Sampling, tuple-frequency tables, and the empirical marginal provider.
 
-``tuple_frequencies`` counts every size-k position set over the sample's
-distinct rows rather than over all l rows: sampled rows repeat heavily (an
-n=12, d=2 sample of 1e5 rows has about 2.2k distinct rows), so the rows are
-sorted once and each position set then costs one Horner step and one
-weighted ``np.bincount`` over the distinct rows. See ``tuple_frequencies``
-for why the weighted sums are exact and for the input where it loses.
+``tuple_frequencies`` sorts the sample once into its distinct rows: sampled
+rows repeat heavily (an n=12, d=2 sample of 1e5 rows has about 2.2k). A
+``FrequencyTable`` then counts a position set the first time it is asked
+for, with one Horner step and one weighted ``np.bincount`` over the
+distinct rows, so recovery counts only the sets its decisions read.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DiscreteDag, _indices, _write_json
-from .oracle import _ProviderBase, _integer_positions
+from .oracle import _ProviderBase, _check_positions
 
 __all__ = [
     "EmpiricalMarginalProvider",
@@ -130,40 +129,75 @@ def _inverse_cdf(out, u, cfg, cum_t) -> None:
 
 @dataclass(eq=False)
 class FrequencyTable:
-    """Occurrence counts of every k-tuple cylinder, one dense array per
-    size-k position set.
+    """Occurrence counts of k-tuple cylinders, counted per position set on
+    first use from the sample's ``distinct`` rows, an (n, m) array with one
+    variable per row, and their float64 multiplicities ``weights``.
 
-    ``counts`` maps each strictly increasing tuple of k positions (1-based)
-    to a read-only int64 array over that set's sub-space, indexed in mixed
-    radix, most significant first; unrealized cylinders hold zero.
-    Lower-order frequencies are recovered by summation, so a single tuple
-    size k is stored.
+    ``counts`` maps each size-k position set counted so far, a strictly
+    increasing tuple of positions (1-based), to a read-only int64 array over
+    that set's sub-space, indexed in mixed radix, most significant first;
+    unrealized cylinders hold zero.
     """
 
     k: int
     l: int
     cards: tuple[int, ...]
-    counts: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
+    distinct: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+    counts: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        for arr in self.counts.values():
-            arr.flags.writeable = False
+        # _codes[i + 1]: Horner code of the first i+1 positions of _prefix,
+        # the last set counted, in intp (a narrow column times a stride
+        # would wrap); _codes[0] stays 0
+        self._codes = np.zeros((self.k + 1, self.distinct.shape[1]), dtype=np.intp)
+        self._prefix = ()
 
     @property
     def n(self) -> int:
         return len(self.cards)
 
     def dense_counts(self, positions) -> np.ndarray:
-        """The stored read-only counts of a size-k position set; any other
+        """The read-only counts of a size-k position set; any other
         positions (wrong size, unsorted, out of range or not integers)
         raise ValueError."""
         try:
-            return self.counts[_integer_positions(positions)]
-        except (KeyError, ValueError):
+            pos = _check_positions(positions, self.n)
+        except ValueError:
+            pos = ()
+        if len(pos) != self.k:
             raise ValueError(
                 f"dense_counts wants {self.k} strictly increasing integer positions in 1..{self.n},"
                 f" got {positions!r}"
-            ) from None
+            )
+        return self._count(pos)
+
+    def _count(self, pos) -> np.ndarray:
+        """Read-only int64 counts over ``pos``, checked positions of any
+        size up to k; size-k counts are kept in ``counts``.
+
+        The codes of the prefix shared with the last set counted are kept,
+        so a sweep in ``itertools.combinations`` order costs one multiply-add
+        and one weighted ``np.bincount`` over the distinct rows per set. The
+        float64 sums are exact: each is an integer of at most l < 2**53.
+        """
+        arr = self.counts.get(pos)
+        if arr is not None:
+            return arr
+        j = 0
+        while j < min(len(pos), len(self._prefix)) and pos[j] == self._prefix[j]:
+            j += 1
+        for i in range(j, len(pos)):
+            np.multiply(self._codes[i], self.cards[pos[i] - 1], out=self._codes[i + 1])
+            self._codes[i + 1] += self.distinct[pos[i] - 1]
+        if j < len(pos):
+            self._prefix = pos
+        size = math.prod(self.cards[p - 1] for p in pos)
+        arr = np.bincount(self._codes[len(pos)], weights=self.weights, minlength=size).astype(np.int64)
+        arr.flags.writeable = False
+        if len(pos) == self.k:
+            self.counts[pos] = arr
+        return arr
 
 
 def sample(dag: DiscreteDag, l: int, seed) -> SampleMatrix:
@@ -210,14 +244,9 @@ def _distinct_rows(rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tuple_frequencies(samples: SampleMatrix, k: int) -> FrequencyTable:
-    """Counts of every k-tuple cylinder, one array per position set.
+    """The k-tuple counts of ``samples``, each counted on first use.
 
-    The count is taken over the sample's m distinct rows, each weighted by
-    its multiplicity. Position sets are walked in ``itertools.combinations``
-    order, which keeps the Horner code of every shared prefix: a set costs
-    one multiply-add and one weighted ``np.bincount`` over m rows. The
-    float64 sums are exact, since every partial sum is an integer of at
-    most l < 2**53. The sort is not amortised when nearly every row is
+    The sort into distinct rows does not pay when nearly every row is
     distinct and the sets are few: on a 2-core Xeon, the 20 position sets
     (n=6, k=3) of 2e5 all-distinct rows of cardinality 40 take 36-51 ms,
     against 20-24 ms for a Horner code of all l rows per set.
@@ -225,35 +254,12 @@ def tuple_frequencies(samples: SampleMatrix, k: int) -> FrequencyTable:
     if not 1 <= k <= samples.n:
         raise ValueError(f"k must be in 1..{samples.n}, got {k}")
     distinct, weights = _distinct_rows(samples.rows)
-    # codes[j]: Horner code of the current set's first j+1 positions, in
-    # intp (a narrow column multiplied by a stride would wrap)
-    codes = np.empty((k, distinct.shape[1]), dtype=np.intp)
-    prev = ()
-    counts = {}
-    for pos in itertools.combinations(range(1, samples.n + 1), k):
-        j = 0
-        while j < len(prev) and prev[j] == pos[j]:
-            j += 1
-        for j in range(j, k):
-            if j:
-                np.multiply(codes[j - 1], samples.cards[pos[j] - 1], out=codes[j])
-                codes[j] += distinct[pos[j] - 1]
-            else:
-                codes[0] = distinct[pos[0] - 1]
-        size = math.prod(samples.cards[p - 1] for p in pos)
-        counts[pos] = np.bincount(codes[-1], weights=weights, minlength=size).astype(np.int64)
-        prev = pos
-    return FrequencyTable(k, samples.l, samples.cards, counts)
+    return FrequencyTable(k, samples.l, samples.cards, distinct, weights)
 
 
 class EmpiricalMarginalProvider(_ProviderBase):
-    """Answers tuple probabilities of size <= k from the dense count array
-    that a FrequencyTable stores for each size-k position set.
-
-    Sub-k queries are served by summing the counts of the lexicographically
-    first k-superset of the requested positions; count consistency makes the
-    answer independent of that choice.
-    """
+    """Answers tuple probabilities of size <= k from the counts of a
+    FrequencyTable, each counted directly over its own positions."""
 
     def __init__(self, freq: FrequencyTable):
         super().__init__()
@@ -263,20 +269,8 @@ class EmpiricalMarginalProvider(_ProviderBase):
         self.cards = freq.cards
         self.max_tuple_size = freq.k
 
-    def _lex_superset(self, pos) -> tuple[int, ...]:
-        have = set(pos)
-        extra = (p for p in range(1, self.n + 1) if p not in have)
-        fill = [next(extra) for _ in range(self.max_tuple_size - len(pos))]
-        return tuple(sorted((*pos, *fill)))
-
     def _compute(self, pos) -> np.ndarray:
-        sup = self._lex_superset(pos)
-        dims = tuple(self.cards[p - 1] for p in sup)
-        drop = tuple(i for i, p in enumerate(sup) if p not in pos)
-        counts = self._freq.dense_counts(sup).reshape(dims)
-        if drop:
-            counts = counts.sum(axis=drop)
-        return counts.reshape(-1).astype(np.float64) / self._freq.l
+        return self._freq._count(pos).astype(np.float64) / self._freq.l
 
 
 def save_samples(samples: SampleMatrix, path) -> None:
@@ -438,9 +432,11 @@ def load_samples(path, cards=None) -> SampleMatrix:
 
 
 def frequencies_to_dict(freq: FrequencyTable) -> dict:
+    """Every size-k position set's nonzero counts, sorted by (positions,
+    values); counts each set not counted yet."""
     entries = []
-    for pos in sorted(freq.counts):
-        arr = freq.counts[pos]
+    for pos in itertools.combinations(range(1, freq.n + 1), freq.k):
+        arr = freq.dense_counts(pos)
         codes = np.flatnonzero(arr)
         values = np.column_stack(np.unravel_index(codes, tuple(freq.cards[p - 1] for p in pos)))
         for vals, c in zip(values.tolist(), arr[codes].tolist()):

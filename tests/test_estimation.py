@@ -101,17 +101,17 @@ def test_sample_matrix_range_checked_before_narrowing():
 def test_tuple_frequencies_tiny_case():
     s = SampleMatrix((2, 2), [[0, 0], [0, 1]])
     freq = tuple_frequencies(s, 2)
-    assert list(freq.counts) == [(1, 2)]
     # values (0,0) (0,1) (1,0) (1,1) at mixed-radix codes 0..3
     assert (freq.dense_counts((1, 2)) / freq.l).tolist() == [0.5, 0.5, 0.0, 0.0]
+    assert list(freq.counts) == [(1, 2)]
 
 
 def test_tuple_frequencies_counts_partition_l(chain_dag):
     s = sample(chain_dag, 500, seed=9)
     freq = tuple_frequencies(s, 2)
-    assert list(freq.counts) == list(itertools.combinations((1, 2, 3), 2))
     for pos in itertools.combinations((1, 2, 3), 2):
         assert freq.dense_counts(pos).sum() == 500
+    assert list(freq.counts) == list(itertools.combinations((1, 2, 3), 2))
 
 
 def test_tuple_frequencies_sparse_only_realized_keys():

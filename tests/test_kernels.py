@@ -106,9 +106,10 @@ def test_tuple_frequencies_matches_per_set_count(monkeypatch, name, chunk):
     cards, rows = EQUIVALENCE_CASES[name]
     s = SampleMatrix(cards, rows)
     for k in sorted({1, 2, s.n}):
-        counted = tuple_frequencies(s, k).counts
+        freq = tuple_frequencies(s, k)
         expected = per_set_counts(s, k)
-        assert list(counted) == list(expected)
+        counted = {pos: freq.dense_counts(pos) for pos in expected}
+        assert list(freq.counts) == list(expected)
         for pos, arr in counted.items():
             assert arr.dtype == expected[pos].dtype == np.int64
             assert not arr.flags.writeable
@@ -120,10 +121,26 @@ def test_tuple_frequencies_matches_per_set_count(monkeypatch, name, chunk):
 def test_tuple_frequencies_matches_per_set_count_at_every_k():
     s = sample(random_dag(6, 2, (2, 3, 1, 2, 4, 2), seed=5), 3000, seed=6)
     for k in range(1, s.n + 1):
-        counted = tuple_frequencies(s, k).counts
+        freq = tuple_frequencies(s, k)
         expected = per_set_counts(s, k)
-        assert list(counted) == list(expected)
-        assert all(np.array_equal(counted[pos], expected[pos]) for pos in expected)
+        assert all(np.array_equal(freq.dense_counts(pos), expected[pos]) for pos in expected)
+        assert list(freq.counts) == list(expected)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_counts_do_not_depend_on_query_order(seed):
+    # the table keeps the Horner codes of the last set's prefixes; sets of
+    # every size up to k, asked in any order and more than once, must still
+    # read the per-set reference
+    s = SampleMatrix((2, 3, 1, 4, 2, 3), random_rows((2, 3, 1, 4, 2, 3), 800, seed))
+    freq = tuple_frequencies(s, 4)
+    expected = {pos: arr for size in range(1, 5) for pos, arr in per_set_counts(s, size).items()}
+    order = list(expected) * 2
+    np.random.default_rng(seed).shuffle(order)
+    for pos in order:
+        counted = freq.dense_counts(pos) if len(pos) == 4 else freq._count(pos)
+        assert np.array_equal(counted, expected[pos]), pos
+    assert sorted(freq.counts) == list(per_set_counts(s, 4))
 
 
 def test_tuple_frequencies_peak_memory_per_row():
@@ -133,6 +150,8 @@ def test_tuple_frequencies_peak_memory_per_row():
     tracemalloc.start()
     try:
         freq = tuple_frequencies(s, 3)
+        for pos in itertools.combinations(range(1, s.n + 1), 3):
+            freq.dense_counts(pos)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

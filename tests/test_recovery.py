@@ -142,6 +142,17 @@ def test_empirical_recovery_on_chain(chain_dag, chain_joint):
     assert provider.access_log.max_size <= 3
 
 
+def test_empirical_recovery_counts_only_the_sets_it_reads():
+    # recovery reads a small share of the C(24, 5) = 42,504 position sets,
+    # and only those are counted
+    dag = random_dag(24, 2, 2, seed=0)
+    freq = tuple_frequencies(sample(dag, 20_000, seed=100), 5)
+    provider = EmpiricalMarginalProvider(freq)
+    recover_structure(empirical_ci_decider(provider, 0.01), 24, 2)
+    assert len(freq.counts) < math.comb(24, 5) / 10
+    assert provider.access_log.max_size == 5
+
+
 def test_decider_validates_threshold(chain_joint):
     provider = ExactMarginalProvider(chain_joint, 3)
     with pytest.raises(ValueError):
