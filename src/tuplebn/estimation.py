@@ -394,11 +394,13 @@ def load_samples(path, cards=None) -> SampleMatrix:
     InvalidSamplesError naming the file and, for a bad record, its row.
 
     The body is read twice in ``_PARSE_BLOCK``-byte blocks: once to count
-    the records and find the widest field, once to parse each block into
-    its rows of a preallocated column-major array. That array's dtype is
-    the smallest unsigned one that holds every number of that many digits;
-    ``SampleMatrix`` copies it only when its own dtype differs. No other
-    temporary grows with l.
+    the records and find the widest field and the largest value, once to
+    parse each block into its rows of a preallocated column-major array.
+    That array's dtype is the smallest unsigned one that holds the largest
+    value, so ``SampleMatrix`` copies it only when ``cards`` asks for a
+    wider one. Only a block with a field of 3 or more digits is parsed in
+    the first pass: every value of 2 digits fits a byte. No other temporary
+    grows with l.
     """
     try:
         with open(path, "rb") as f:
@@ -408,12 +410,15 @@ def load_samples(path, cards=None) -> SampleMatrix:
                 raise ValueError(f"malformed header: column {bad!r} does not start with x")
             n = len(header)
             body = f.tell()
-            l = width = 0
+            l = width = top = 0
             for block in _line_blocks(f):
                 records = _records(block)
-                width = max(width, _widest_digit_run(records, l))
+                block_width = _widest_digit_run(records, l)
+                if block_width > 2:  # a value of 3 or more digits may not fit a byte
+                    top = max(top, int(_block_values(records, n, block_width, np.uint64, l).max()))
+                width = max(width, block_width)
                 l += int(np.count_nonzero(records == _NL))
-            dtype = np.min_scalar_type(10**width - 1)
+            dtype = np.min_scalar_type(top)
             rows = np.empty((l, n), dtype=dtype, order="F")
             f.seek(body)
             done = 0

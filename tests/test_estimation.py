@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,30 @@ def test_load_samples_rejects_a_field_of_more_than_18_digits(tmp_path):
         load_samples(path)
     path.write_text("x1,x2\n0,1\n1,999999999999999999\n")
     assert load_samples(path).cards == (2, 10**18)
+
+
+def test_load_samples_parses_into_the_dtype_of_the_largest_value(tmp_path):
+    # 3-digit fields whose values all fit a byte: read as uint16 and then
+    # copied to uint8, the peak would be about 3x the rows
+    s = SampleMatrix((200,) * 8, np.random.default_rng(0).integers(0, 200, size=(500_000, 8)))
+    path = tmp_path / "rows.csv"
+    save_samples(s, path)
+    tracemalloc.start()
+    try:
+        loaded = load_samples(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == s
+    assert peak < 2 * loaded.rows.nbytes
+
+
+def test_load_samples_reads_the_dtype_from_the_file_not_from_cards(tmp_path):
+    # in the byte that cards=(45,) fits, 300 would wrap to 44, into range
+    path = tmp_path / "rows.csv"
+    path.write_text("x1\n3\n300\n")
+    with pytest.raises(InvalidSamplesError, match="sample value 300 of x1 in row 2 out of range for cardinality 45"):
+        load_samples(path, cards=(45,))
 
 
 def wide_samples(l, seed=0):
