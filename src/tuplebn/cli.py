@@ -31,6 +31,8 @@ from .oracle import is_markov_relative
 from .recovery import (
     ModelViolationError,
     _check_epsilon,
+    _empirical_threshold,
+    _tuple_budget,
     attach_cpts,
     empirical_ci_decider,
     exact_ci_decider,
@@ -115,7 +117,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    budget = 2 * args.delta + 1
+    budget = _tuple_budget(args.delta)
     if args.mode == "exact":
         if not args.dag:
             raise ValueError("--dag is required in exact mode")
@@ -146,7 +148,7 @@ def cmd_recover(args) -> int:
         print(f"markov-compatible: {str(ok).lower()} (tolerance {MARKOV_CHECK_TOL})")
     else:
         print(
-            f"decider: empirical, epsilon={args.epsilon}, dependence threshold={4 * args.epsilon}"
+            f"decider: empirical, epsilon={args.epsilon}, dependence threshold={_empirical_threshold(args.epsilon)}"
             f" ({len(result.uniform_rows)} zero-mass rows made uniform)"
         )
     log = provider.access_log

@@ -30,7 +30,14 @@ import numpy as np
 from .estimation import EmpiricalMarginalProvider, sample, tuple_frequencies
 from .model import _index, _indices, _read_json, _real, _require_object, _write_json, factorized_joint, random_dag
 from .oracle import is_markov_relative, marginal
-from .recovery import ModelViolationError, attach_cpts, empirical_ci_decider, recover_structure
+from .recovery import (
+    _EPSILON_LIMIT,
+    ModelViolationError,
+    _tuple_budget,
+    attach_cpts,
+    empirical_ci_decider,
+    recover_structure,
+)
 from .vcbounds import SampleSizes, required_sample_size, risk_bound, vc_upper_bound
 
 __all__ = [
@@ -54,8 +61,11 @@ _log.addHandler(logging.NullHandler())
 TRIALS_HEADER = ["trial", "l_index", "l", "seed", "outcome", "max_freq_dev", "max_tuple_size", "graph_equal"]
 
 
+# the tolerance of a cell's Markov check when the config leaves it out
+_MARKOV_TOL = 1e-2
+
 # the defaults of the fields a config file may leave out
-_OPTIONAL = {"cards": None, "alpha": 1.0, "floor": 0.01, "markov_tol": 1e-2}
+_OPTIONAL = {"cards": None, "alpha": 1.0, "floor": 0.01, "markov_tol": _MARKOV_TOL}
 
 
 @dataclass(frozen=True)
@@ -78,7 +88,7 @@ class ExperimentConfig:
     trials: int
     seed: int
     output_dir: str
-    markov_tol: float = 1e-2
+    markov_tol: float = _MARKOV_TOL
 
     def __post_init__(self):
         for field, read, ok, rule in (
@@ -88,7 +98,7 @@ class ExperimentConfig:
             ("alpha", _real, lambda v: 0 < v < math.inf, "finite and > 0"),
             ("floor", _real, lambda v: v >= 0 and v * max(self.cards) < 1, ">= 0 and below 1/max(cards)"),
             ("sample_sizes", _indices, lambda v: len(v) >= 1 and min(v) >= 1, "nonempty and >= 1"),
-            ("epsilon", _real, lambda v: 0 < v < 0.25, "in (0, 0.25)"),
+            ("epsilon", _real, lambda v: 0 < v < _EPSILON_LIMIT, f"in (0, {_EPSILON_LIMIT})"),
             ("delta_risk", _real, lambda v: 0 < v < 1, "in (0,1)"),
             ("trials", _index, lambda v: v >= 1, ">= 1"),
             ("seed", _index, lambda v: v >= 0, ">= 0"),
@@ -103,7 +113,7 @@ class ExperimentConfig:
     @property
     def k(self) -> int:
         """Tuple budget actually usable: 2*delta+1 capped at n."""
-        return min(2 * self.delta + 1, self.n)
+        return min(_tuple_budget(self.delta), self.n)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -249,7 +259,7 @@ def summarize(config: ExperimentConfig, reports: list[TrialReport], sizes: Sampl
     return {
         "config": config.to_dict(),
         "k": config.k,
-        "tuple_budget": 2 * config.delta + 1,
+        "tuple_budget": _tuple_budget(config.delta),
         "vc_upper_bound": h,
         "l_suff": sizes.l_suff,
         "l_risk": sizes.l_risk,

@@ -78,22 +78,35 @@ class ProviderCiDecider:
         return dependence_statistic(self.provider, X, L, K, skip_below=self.threshold) <= self.threshold
 
 
+# the empirical threshold 4*epsilon must stay below 1 (see ProviderCiDecider)
+_EPSILON_LIMIT = 0.25
+
+
+def _tuple_budget(delta: int) -> int:
+    """2*delta + 1: the most positions an independence query at in-degree
+    bound delta reads."""
+    return 2 * delta + 1
+
+
 def exact_ci_decider(joint: JointTable, delta: int) -> ProviderCiDecider:
     """Decider backed by exact marginals, budgeted to (2*delta + 1)-tuples,
     with ``EXACT_TOL`` as its threshold."""
-    return ProviderCiDecider(ExactMarginalProvider(joint, 2 * delta + 1), EXACT_TOL)
+    return ProviderCiDecider(ExactMarginalProvider(joint, _tuple_budget(delta)), EXACT_TOL)
 
 
 def empirical_ci_decider(provider, epsilon: float) -> ProviderCiDecider:
-    """Decider applying the 4*epsilon deviation threshold to estimated marginals.
+    """Decider applying the ``_empirical_threshold`` to estimated marginals.
+    Contexts whose empirical mass is at or below it are skipped: they carry
+    no reliable signal."""
+    return ProviderCiDecider(provider, _empirical_threshold(epsilon))
 
-    4*epsilon is the worst-case first-order propagation of a uniform
-    frequency error epsilon through the dependence statistic. Contexts whose
-    empirical mass is at or below it are skipped: they carry no reliable
-    signal. An epsilon of 0.25 or more, whose threshold reaches 1, is
-    refused: it would skip every context and judge every pair independent.
-    """
-    return ProviderCiDecider(provider, 4.0 * _check_epsilon(epsilon))
+
+def _empirical_threshold(epsilon: float) -> float:
+    """4*epsilon, the worst-case first-order propagation of a uniform
+    frequency error epsilon through the dependence statistic. An epsilon of
+    0.25 or more, whose threshold reaches 1, is refused: it would skip every
+    context and judge every pair independent."""
+    return 4.0 * _check_epsilon(epsilon)
 
 
 def _check_epsilon(epsilon: float) -> float:
@@ -101,8 +114,10 @@ def _check_epsilon(epsilon: float) -> float:
     (0, 0.25). The CLI calls it before it reads any sample."""
     if not 0 < epsilon < math.inf:  # written so that a NaN fails it
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    if epsilon >= 0.25:
-        raise ValueError(f"epsilon must be in (0, 0.25), so that the threshold 4*epsilon is below 1, got {epsilon}")
+    if epsilon >= _EPSILON_LIMIT:
+        raise ValueError(
+            f"epsilon must be in (0, {_EPSILON_LIMIT}), so that the threshold 4*epsilon is below 1, got {epsilon}"
+        )
     return epsilon
 
 
