@@ -1,9 +1,12 @@
 import io
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuplebn import (
     EXACT_TOL,
@@ -185,3 +188,48 @@ def test_model_violation_names_node_and_exhausts_candidates(xor_joint):
     assert exc.value.node == 3
     assert "node 3" in str(exc.value)
     assert "2 candidate" in str(exc.value)  # both size-1 subsets of {1,2} tried
+
+
+# CPT families where a Dirichlet draw's generic signals vanish: a parity or a
+# random function of the parents, either exact or mixed with uniform noise,
+# and random rows with zero entries
+CPT_FAMILIES = ("parity", "deterministic", "noisy-parity", "near-deterministic", "zero-rows")
+
+
+@st.composite
+def stress_networks(draw):
+    n = draw(st.integers(1, 7))
+    delta = draw(st.integers(1, 2))
+    cards = draw(st.lists(st.sampled_from((1, 2, 2, 3)), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parents, cpts = [], []
+    for j in range(1, n + 1):
+        ps = sorted(draw(st.lists(st.integers(1, j - 1), max_size=delta, unique=True)) if j > 1 else [])
+        family = draw(st.sampled_from(CPT_FAMILIES))
+        d = cards[j - 1]
+        shape = [cards[p - 1] for p in ps]
+        configs = np.array(list(itertools.product(*map(range, shape))), dtype=int).reshape(math.prod(shape), len(ps))
+        if family == "zero-rows":
+            rows = rng.dirichlet(np.ones(d), size=len(configs)) * (rng.random((len(configs), d)) < 0.5)
+            rows[rows.sum(axis=1) == 0, rng.integers(d)] = 1.0
+            rows /= rows.sum(axis=1, keepdims=True)
+        else:
+            values = configs.sum(axis=1) % d if "parity" in family else rng.integers(0, d, size=len(configs))
+            noise = draw(st.floats(0.01, 0.2)) if family.startswith(("noisy", "near")) else 0.0
+            rows = (1 - noise) * np.eye(d)[values] + noise / d
+        parents.append(ps)
+        cpts.append(rows)
+    return DiscreteDag(n, cards, delta, parents, cpts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dag=stress_networks())
+def test_exact_recovery_beyond_dirichlet_networks(dag):
+    # the source in-degree is <= delta, so by weak union some conditioning
+    # set of size m passes for every node: no model violation, and the
+    # rebuilt network factorizes the joint
+    joint = factorized_joint(dag)
+    decider = exact_ci_decider(joint, dag.delta)
+    skeleton, _ = recover_structure(decider, dag.n, dag.delta)
+    rebuilt = attach_cpts(skeleton, decider.provider).dag
+    assert is_markov_relative(joint, rebuilt, tol=1e-9)
