@@ -190,8 +190,7 @@ class FrequencyTable:
         for i in range(j, len(pos)):
             np.multiply(self._codes[i], self.cards[pos[i] - 1], out=self._codes[i + 1])
             self._codes[i + 1] += self.distinct[pos[i] - 1]
-        if j < len(pos):
-            self._prefix = pos
+        self._prefix = pos
         size = math.prod(self.cards[p - 1] for p in pos)
         arr = np.bincount(self._codes[len(pos)], weights=self.weights, minlength=size).astype(np.int64)
         arr.flags.writeable = False
