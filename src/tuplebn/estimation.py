@@ -5,6 +5,8 @@ rows repeat heavily (an n=12, d=2 sample of 1e5 rows has about 2.2k). A
 ``FrequencyTable`` then counts a position set the first time it is asked
 for, with one Horner step and one weighted ``np.bincount`` over the
 distinct rows, so recovery counts only the sets its decisions read.
+``FrequencyTable.counts`` keeps the sets asked for through ``dense_counts``;
+the empirical provider and the deviation sweep count without storing.
 """
 
 from __future__ import annotations
@@ -133,10 +135,12 @@ class FrequencyTable:
     first use from the sample's ``distinct`` rows, an (n, m) array with one
     variable per row, and their float64 multiplicities ``weights``.
 
-    ``counts`` maps each size-k position set counted so far, a strictly
-    increasing tuple of positions (1-based), to a read-only int64 array over
-    that set's sub-space, indexed in mixed radix, most significant first;
-    unrealized cylinders hold zero.
+    ``counts`` maps each size-k position set asked for through
+    ``dense_counts``, a strictly increasing tuple of positions (1-based), to
+    a read-only int64 array over that set's sub-space, indexed in mixed
+    radix, most significant first; unrealized cylinders hold zero. The
+    empirical provider and the deviation sweep count through ``_count``,
+    which stores nothing.
     """
 
     k: int
@@ -170,20 +174,22 @@ class FrequencyTable:
                 f"dense_counts wants {self.k} strictly increasing integer positions in 1..{self.n},"
                 f" got {positions!r}"
             )
-        return self._count(pos)
+        arr = self.counts.get(pos)
+        if arr is None:
+            arr = self._count(pos).astype(np.int64)
+            arr.flags.writeable = False
+            self.counts[pos] = arr
+        return arr
 
     def _count(self, pos) -> np.ndarray:
-        """Read-only int64 counts over ``pos``, checked positions of any
-        size up to k; size-k counts are kept in ``counts``.
+        """Float64 counts over ``pos``, checked positions of any size up to
+        k, in the layout of ``counts``; nothing is stored.
 
         The codes of the prefix shared with the last set counted are kept,
         so a sweep in ``itertools.combinations`` order costs one multiply-add
         and one weighted ``np.bincount`` over the distinct rows per set. The
         float64 sums are exact: each is an integer of at most l < 2**53.
         """
-        arr = self.counts.get(pos)
-        if arr is not None:
-            return arr
         j = 0
         while j < min(len(pos), len(self._prefix)) and pos[j] == self._prefix[j]:
             j += 1
@@ -192,11 +198,7 @@ class FrequencyTable:
             self._codes[i + 1] += self.distinct[pos[i] - 1]
         self._prefix = pos
         size = math.prod(self.cards[p - 1] for p in pos)
-        arr = np.bincount(self._codes[len(pos)], weights=self.weights, minlength=size).astype(np.int64)
-        arr.flags.writeable = False
-        if len(pos) == self.k:
-            self.counts[pos] = arr
-        return arr
+        return np.bincount(self._codes[len(pos)], weights=self.weights, minlength=size)
 
 
 def sample(dag: DiscreteDag, l: int, seed) -> SampleMatrix:
@@ -269,7 +271,7 @@ class EmpiricalMarginalProvider(_ProviderBase):
         self.max_tuple_size = freq.k
 
     def _compute(self, pos) -> np.ndarray:
-        return self._freq._count(pos).astype(np.float64) / self._freq.l
+        return self._freq._count(pos) / self._freq.l
 
 
 def save_samples(samples: SampleMatrix, path) -> None:

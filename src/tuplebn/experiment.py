@@ -170,7 +170,7 @@ def _max_frequency_deviation(freq, joint) -> float:
     worst = 0.0
     n = len(freq.cards)
     for pos in itertools.combinations(range(1, n + 1), freq.k):
-        emp = freq.dense_counts(pos).astype(np.float64) / freq.l
+        emp = freq._count(pos) / freq.l
         exact = marginal(joint, pos)
         dev = float(np.abs(emp - exact).max())
         if dev > worst:

@@ -144,27 +144,22 @@ def _cell_index(cards, kept, dtype):
     return np.broadcast_to(np.arange(size, dtype=dtype).reshape(shape), cards).ravel(), size
 
 
-def _disjoint_sorted(*groups):
-    seen = set()
-    out = []
-    for g in groups:
-        t = tuple(sorted(_integer_positions(g)))
-        if seen & set(t):
-            raise ValueError(f"index sets must be pairwise disjoint: {groups}")
-        seen |= set(t)
-        out.append(t)
-    return out
-
-
 def dependence_statistic(provider, X, L, K, skip_below: float) -> float:
     """Max of |f(x,l,k) f(k) - f(x,k) f(l,k)| over realizations, skipping
-    contexts with f(k) <= skip_below. Works with any marginal provider."""
-    X, L, K = _disjoint_sorted(X, L, K)
-    if not X or not L:
-        return 0.0
+    contexts with f(k) <= skip_below. Works with any marginal provider.
+
+    A position outside 1..n, or one in two of X, L and K, raises ValueError
+    naming the positions, also when X or L is empty and the statistic is
+    0.0 without a query."""
+    X, L, K = (tuple(sorted(_integer_positions(g))) for g in (X, L, K))
+    if set(X) & set(L) or set(X + L) & set(K):
+        raise ValueError(f"index sets must be pairwise disjoint: {(X, L, K)}")
     union = tuple(sorted(X + L + K))
-    dims = tuple(provider.cards[p - 1] for p in union)
-    table = provider.table(union).reshape(dims)
+    if not X or not L:
+        if union:
+            _check_positions(union, len(provider.cards))
+        return 0.0
+    table = provider.table(union).reshape(tuple(provider.cards[p - 1] for p in union))
     ax = {p: i for i, p in enumerate(union)}
     x_axes = tuple(ax[p] for p in X)
     l_axes = tuple(ax[p] for p in L)

@@ -9,8 +9,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tuplebn import SampleMatrix, estimation, random_dag, sample, tuple_frequencies
+from tuplebn import (
+    EmpiricalMarginalProvider,
+    SampleMatrix,
+    estimation,
+    factorized_joint,
+    marginal,
+    random_dag,
+    sample,
+    tuple_frequencies,
+)
 from tuplebn.estimation import _SAMPLE_CHUNK, _inverse_cdf
+from tuplebn.experiment import _max_frequency_deviation
 
 
 def test_sample_node_boundary_uniform():
@@ -130,17 +140,39 @@ def test_tuple_frequencies_matches_per_set_count_at_every_k():
 @pytest.mark.parametrize("seed", range(4))
 def test_counts_do_not_depend_on_query_order(seed):
     # the table keeps the Horner codes of the last set's prefixes; sets of
-    # every size up to k, asked in any order and more than once, must still
-    # read the per-set reference
+    # every size up to k, asked in any order and more than once, through the
+    # table or the provider over it, must still read the per-set reference
     s = SampleMatrix((2, 3, 1, 4, 2, 3), random_rows((2, 3, 1, 4, 2, 3), 800, seed))
     freq = tuple_frequencies(s, 4)
+    provider = EmpiricalMarginalProvider(freq)
     expected = {pos: arr for size in range(1, 5) for pos, arr in per_set_counts(s, size).items()}
     order = list(expected) * 2
     np.random.default_rng(seed).shuffle(order)
     for pos in order:
         counted = freq.dense_counts(pos) if len(pos) == 4 else freq._count(pos)
         assert np.array_equal(counted, expected[pos]), pos
+        assert provider.table(pos).tobytes() == (expected[pos] / s.l).tobytes(), pos
     assert sorted(freq.counts) == list(per_set_counts(s, 4))
+
+
+@pytest.mark.parametrize("n, cards, l", [
+    (12, 2, 20_000),
+    (8, (2, 3, 1, 4, 2, 3, 2, 5), 5_000),
+])
+def test_max_frequency_deviation_stores_no_counts(n, cards, l):
+    dag = random_dag(n, 2, cards, seed=n)
+    freq = tuple_frequencies(sample(dag, l, seed=1), 5)
+    joint = factorized_joint(dag)
+    freq.dense_counts((1, 2, 3, 4, 5))
+    before = dict(freq.counts)
+    dev = _max_frequency_deviation(freq, joint)
+    assert freq.counts.keys() == before.keys()
+    assert all(freq.counts[pos] is arr for pos, arr in before.items())
+    reference = max(
+        float(np.abs(freq.dense_counts(pos).astype(np.float64) / freq.l - marginal(joint, pos)).max())
+        for pos in itertools.combinations(range(1, n + 1), freq.k)
+    )
+    assert dev == reference > 0
 
 
 def test_tuple_frequencies_peak_memory_per_row():

@@ -151,6 +151,47 @@ def test_conditional_independent_rejects_overlap(chain_joint):
 def test_empty_side_is_vacuously_independent(chain_joint):
     assert exact_independent(chain_joint, (), (3,), (2,))
     assert exact_independent(chain_joint, (1,), (), ())
+    provider = ExactMarginalProvider(chain_joint, 3)
+    assert dependence_statistic(provider, (), (), (), EXACT_TOL) == 0.0
+    assert dependence_statistic(provider, (), (3,), (1, 2), EXACT_TOL) == 0.0
+    assert provider.access_log.queries == 0
+
+
+RANGE = r"position out of range 1\.\.4"
+DISJOINT = "index sets must be pairwise disjoint"
+
+
+BAD_POSITIONS = [
+    # a position of 0 or n+1 in each group
+    ((0,), (2,), (3,), RANGE, 0),
+    ((5,), (2,), (3,), RANGE, 5),
+    ((1,), (0,), (3,), RANGE, 0),
+    ((1,), (5,), (3,), RANGE, 5),
+    ((1,), (2,), (0,), RANGE, 0),
+    ((1,), (2,), (5,), RANGE, 5),
+    ((1,), (2,), (99,), RANGE, 99),
+    # a position in two groups
+    ((1,), (1, 2), (3,), DISJOINT, 1),
+    ((1,), (2,), (1, 3), DISJOINT, 1),
+    ((1,), (2,), (2, 3), DISJOINT, 2),
+    ((), (2,), (2,), DISJOINT, 2),
+    # a bad conditioning set beside an empty side, which reads no table
+    ((), (2,), (99,), RANGE, 99),
+    ((1,), (), (0, 3), RANGE, 0),
+    ((), (), (5,), RANGE, 5),
+]
+
+
+@pytest.mark.parametrize("X, L, K, message, bad", BAD_POSITIONS, ids=[str(c[:3]) for c in BAD_POSITIONS])
+def test_bad_positions_are_named_before_any_query(X, L, K, message, bad):
+    provider = ExactMarginalProvider(factorized_joint(random_dag(4, 1, 2, seed=0)), 4)
+    decider = ProviderCiDecider(provider, EXACT_TOL)
+    pattern = rf"{message}: .*\b{bad}\b"
+    with pytest.raises(ValueError, match=pattern):
+        dependence_statistic(provider, X, L, K, EXACT_TOL)
+    with pytest.raises(ValueError, match=pattern):
+        decider.decide(X, L, K)
+    assert provider.access_log.queries == 0
 
 
 def test_is_markov_relative_true_and_false(chain_joint, chain_dag):
