@@ -33,6 +33,7 @@ from .recovery import (
     _check_epsilon,
     _empirical_threshold,
     _tuple_budget,
+    _usable_tuple_size,
     attach_cpts,
     empirical_ci_decider,
     exact_ci_decider,
@@ -135,7 +136,7 @@ def cmd_recover(args) -> int:
         cards = _parse_cards(args.cards) if args.cards else None
         samples = load_samples(args.samples, cards)
         n = samples.n
-        freq = tuple_frequencies(samples, min(budget, n))
+        freq = tuple_frequencies(samples, _usable_tuple_size(args.delta, n))
         provider = EmpiricalMarginalProvider(freq)
         decider = empirical_ci_decider(provider, args.epsilon)
     skeleton, trace = recover_structure(decider, n, args.delta)

@@ -34,6 +34,7 @@ from .recovery import (
     _EPSILON_LIMIT,
     ModelViolationError,
     _tuple_budget,
+    _usable_tuple_size,
     attach_cpts,
     empirical_ci_decider,
     recover_structure,
@@ -113,7 +114,7 @@ class ExperimentConfig:
     @property
     def k(self) -> int:
         """Tuple budget actually usable: 2*delta+1 capped at n."""
-        return min(_tuple_budget(self.delta), self.n)
+        return _usable_tuple_size(self.delta, self.n)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -88,6 +88,12 @@ def _tuple_budget(delta: int) -> int:
     return 2 * delta + 1
 
 
+def _usable_tuple_size(delta: int, n: int) -> int:
+    """The tuple budget capped at n: the size of the tuples counted to
+    recover n variables at in-degree bound delta."""
+    return min(_tuple_budget(delta), n)
+
+
 def exact_ci_decider(joint: JointTable, delta: int) -> ProviderCiDecider:
     """Decider backed by exact marginals, budgeted to (2*delta + 1)-tuples,
     with ``EXACT_TOL`` as its threshold."""
