@@ -160,7 +160,6 @@ def test_empty_side_is_vacuously_independent(chain_joint):
 RANGE = r"position out of range 1\.\.4"
 DISJOINT = "index sets must be pairwise disjoint"
 
-
 BAD_POSITIONS = [
     # a position of 0 or n+1 in each group
     ((0,), (2,), (3,), RANGE, 0),
