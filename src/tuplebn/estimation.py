@@ -1,7 +1,9 @@
 """Sampling, tuple-frequency tables, and the empirical marginal provider.
 
-``tuple_frequencies`` sorts the sample once into its distinct rows: sampled
-rows repeat heavily (an n=12, d=2 sample of 1e5 rows has about 2.2k). A
+``sample`` draws the rows in cache-sized blocks of ``_SAMPLE_CHUNK`` rows.
+``tuple_frequencies`` finds the sample's distinct rows with one sort of
+packed int64 row codes: sampled rows repeat heavily (an n=12, d=2 sample of
+1e5 rows has about 2.2k). A
 ``FrequencyTable`` then counts a position set the first time it is asked
 for, with one Horner step and one weighted ``np.bincount`` over the
 distinct rows, so recovery counts only the sets its decisions read.
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DiscreteDag, _indices, _write_json
+from .model import DiscreteDag, _index, _indices, _write_json
 from .oracle import _ProviderBase, _check_positions
 
 __all__ = [
@@ -34,10 +36,12 @@ __all__ = [
     "tuple_frequencies",
 ]
 
-# Rows drawn per generator call in ``sample``. Consecutive draws continue
-# one stream, so the rows do not depend on this value; it bounds the
-# temporaries of a draw independently of l.
-_SAMPLE_CHUNK = 65536
+# Rows drawn per generator call in ``sample`` and formatted per step of
+# ``save_samples``. Consecutive draws continue one stream, so the rows do
+# not depend on this value; it bounds the temporaries of a step
+# independently of l. A draw's uniforms and their transposed copy take
+# 16 * n bytes a row, 1.5 MiB at n=12, so a step stays in the L2 cache.
+_SAMPLE_CHUNK = 8192
 
 # Bytes read per step of ``load_samples``. A step's temporaries are a few
 # times this, whatever l is; blocks that fit the CPU cache parse fastest.
@@ -204,6 +208,7 @@ class FrequencyTable:
 def sample(dag: DiscreteDag, l: int, seed) -> SampleMatrix:
     """Ancestral sampling: each row draws nodes in order, conditionally on
     the already-drawn parents. Deterministic for a given seed."""
+    l = _index(l, "l")
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     rng = np.random.default_rng(seed)
@@ -212,36 +217,79 @@ def sample(dag: DiscreteDag, l: int, seed) -> SampleMatrix:
         ([p - 1 for p in dag.parents[j - 1]], dag.parent_cards(j), np.cumsum(dag.cpts[j - 1], axis=1).T.copy())
         for j in range(1, dag.n + 1)
     ]
+    # a block's uniforms are drawn row by row, the stream's order, and read
+    # a node at a time from a transposed copy; both buffers are reused
+    drawn = np.empty((min(l, _SAMPLE_CHUNK), dag.n))
+    uniforms = np.empty(drawn.shape[::-1])
     for start in range(0, l, _SAMPLE_CHUNK):
         block = rows[start : start + _SAMPLE_CHUNK]
-        uniforms = rng.random((block.shape[0], dag.n)).T.copy()
+        m = block.shape[0]
+        rng.random(out=drawn[:m])
+        uniforms[:, :m] = drawn[:m].T
         for j, (pcols, pdims, cum_t) in enumerate(nodes):
             cfg = _tuple_codes(block, pcols, pdims) if pcols else 0
-            _inverse_cdf(block[:, j], uniforms[j], cfg, cum_t)
+            _inverse_cdf(block[:, j], uniforms[j, :m], cfg, cum_t)
     return SampleMatrix(dag.cards, rows)
 
 
-def _distinct_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+def _word_columns(cards) -> list[list[int]]:
+    """The columns (0-based) packed into each int64 word of a row code:
+    consecutive columns, as many per word as keep the product of their
+    cardinalities below 2**63."""
+    words, width = [], 2**63  # the first column starts a word
+    for j, c in enumerate(cards):
+        if width * c >= 2**63:
+            words.append([])
+            width = 1
+        words[-1].append(j)
+        width *= c
+    return words
+
+
+def _distinct_rows(rows, cards) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``rows`` as an (n, m) array of its dtype, one
     variable per row, and the multiplicity of each as float64 weights.
 
-    One ``np.lexsort`` orders the rows; consecutive sorted rows are then
-    compared a column and a ``_SAMPLE_CHUNK`` block at a time, so beyond the
-    l-entry sort order no temporary grows with l. No packed row code is
-    formed, so any n and cardinalities work.
+    Each row is packed in mixed radix over ``cards`` into int64 words
+    (``_word_columns``), built as the intp codes of ``_tuple_codes``. A row
+    of one word, as every row of at most 62 bits is, is sorted in place as
+    that code; several words are ordered by one ``np.lexsort`` over the
+    words. Equal neighbours then merge into one distinct row, decoded from
+    its words by integer division, whose weight is the length of its run.
+    The distinct rows come out in code order.
     """
-    l = rows.shape[0]
-    order = np.lexsort(rows.T)
-    starts = [np.zeros(min(l, 1), dtype=np.intp)]
-    for a in range(1, l, _SAMPLE_CHUNK):
-        block = order[a - 1 : a + _SAMPLE_CHUNK]
-        new = np.zeros(block.size - 1, dtype=bool)
-        for column in rows.T:
-            values = column[block]
-            new |= values[1:] != values[:-1]
-        starts.append(np.flatnonzero(new) + a)
-    starts = np.concatenate(starts)
-    return rows.T[:, order[starts]], np.diff(starts, append=l).astype(np.float64)
+    l, dtype = rows.shape[0], rows.dtype
+    if dtype == np.uint64:  # int64 codes: a column alone in its word may wrap
+        rows = rows.view(np.int64)
+    packing = _word_columns(cards)
+    words = [_tuple_codes(rows, cols, [cards[c] for c in cols]) for cols in packing]
+    new = np.empty(l, dtype=bool)
+    new[:1] = True
+    if len(words) == 1:
+        code = words[0]
+        code.sort()
+        np.not_equal(code[1:], code[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        codes = [code[starts]]
+    else:
+        order = np.lexsort(words[::-1])
+        sorted_code = np.empty_like(words[0])
+        new[1:] = False
+        for code in words:
+            np.take(code, order, out=sorted_code, mode="clip")  # "raise" would buffer the out
+            new[1:] |= sorted_code[1:] != sorted_code[:-1]
+        starts = np.flatnonzero(new)
+        codes = [code[order[starts]] for code in words]
+    distinct = np.empty((len(cards), starts.size), dtype=dtype)
+    for cols, code in zip(packing, codes):
+        for c in cols[:0:-1]:
+            # a floor division by a scalar runs several times faster than np.divmod
+            quotient = code // cards[c]
+            code -= quotient * cards[c]
+            distinct[c] = code
+            code = quotient
+        distinct[cols[0]] = code
+    return distinct, np.diff(starts, append=l).astype(np.float64)
 
 
 def tuple_frequencies(samples: SampleMatrix, k: int) -> FrequencyTable:
@@ -249,12 +297,13 @@ def tuple_frequencies(samples: SampleMatrix, k: int) -> FrequencyTable:
 
     The sort into distinct rows does not pay when nearly every row is
     distinct and the sets are few: on a 2-core Xeon, the 20 position sets
-    (n=6, k=3) of 2e5 all-distinct rows of cardinality 40 take 36-51 ms,
-    against 20-24 ms for a Horner code of all l rows per set.
+    (n=6, k=3) of 2e5 all-distinct rows of cardinality 40 take 54-58 ms,
+    against 31-33 ms for a Horner code of all l rows per set.
     """
+    k = _index(k, "k")
     if not 1 <= k <= samples.n:
         raise ValueError(f"k must be in 1..{samples.n}, got {k}")
-    distinct, weights = _distinct_rows(samples.rows)
+    distinct, weights = _distinct_rows(samples.rows, samples.cards)
     return FrequencyTable(k, samples.l, samples.cards, distinct, weights)
 
 

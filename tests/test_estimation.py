@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -144,6 +145,22 @@ def test_tuple_frequencies_k_out_of_range(chain_dag):
         tuple_frequencies(s, 0)
     with pytest.raises(ValueError):
         tuple_frequencies(s, 4)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, 2.0, 2.5, "3", None])
+def test_sample_and_tuple_frequencies_refuse_non_integer_l_and_k(chain_dag, value):
+    with pytest.raises(ValueError, match=re.escape(f"l: expected an integer, got {value!r}")):
+        sample(chain_dag, value, seed=0)
+    s = sample(chain_dag, 10, seed=0)
+    with pytest.raises(ValueError, match=re.escape(f"k: expected an integer, got {value!r}")):
+        tuple_frequencies(s, value)
+
+
+def test_sample_and_tuple_frequencies_take_numpy_integers(chain_dag):
+    s = sample(chain_dag, np.int64(50), seed=0)
+    assert s == sample(chain_dag, 50, seed=0)
+    freq = tuple_frequencies(s, np.uint8(2))
+    assert freq.k == 2 and type(freq.k) is int
 
 
 def test_empty_data_refused():

@@ -41,15 +41,15 @@ EXPERIMENT_DIGESTS = {
     "trials.csv": "dd6b67cac5a165654055b5fcc5cc1f39e8d75b27fcda4bd4111426b3d9d1847f",
     "summary.json": "91a1a6d0113879628ddd7c6dccafff0a8449657549d3d917eeb3fe22b6934c63",
 }
-# 3 * 65536 + 4321 rows: more than three 65536-row sampling chunks plus a
-# partial one, so a chunked draw must continue the RNG stream exactly.
+# 3 * 65536 + 4321 rows: 24 full 8192-row sampling blocks plus a partial one
+# of 4321 rows, so a blocked draw must continue the RNG stream exactly.
 CHUNKED_L = 200_929
 CHUNKED_ROWS_DIGEST = "727523623d43e7aa8b690e1ce2d97c6bb21267b564894f4f3ab1b2d968897f01"
 # one variable above 256 values, so sample storage needs more than a byte
 WIDE_CARDS = (3, 2, 300, 4)
 WIDE_ROWS_DIGEST = "62f33843e2d6789677a873a75edfc8db658bef88788685d15ed8524de7981792"
 # the samples CSV of a WIDE_CARDS draw over CHUNKED_L rows: values of one to
-# three digits, written in more than three full row chunks plus a partial one
+# three digits, written in 24 full row blocks plus a partial one
 WIDE_CSV_DIGEST = "616f9a09d92a2da7a5d38f23658ae6ad9eb1bfb1d8c4bffeb23206bf8f877a94"
 # save_witness JSON, keyed by (n, k, value_pairs); (4, 4) has l_points == 0
 WITNESS_DIGESTS = {

@@ -19,7 +19,7 @@ from tuplebn import (
     sample,
     tuple_frequencies,
 )
-from tuplebn.estimation import _SAMPLE_CHUNK, _inverse_cdf
+from tuplebn.estimation import _SAMPLE_CHUNK, _distinct_rows, _inverse_cdf, _word_columns
 from tuplebn.experiment import _max_frequency_deviation
 
 
@@ -97,6 +97,25 @@ def every_row_distinct(cards):
     return np.random.default_rng(1).permutation(rows)
 
 
+def repeated_rows(cards, l, patterns, seed):
+    """l rows drawn from ``patterns`` random rows, the first of which holds
+    every column's top value, so rows repeat and the largest packed code
+    occurs."""
+    pool = random_rows(cards, patterns, seed)
+    pool[0] = np.asarray(cards) - 1
+    return pool[np.random.default_rng(seed + 1).integers(0, patterns, size=l)]
+
+
+# cardinalities whose product lands just below 2**63 (by 2.1e11), so a row
+# fills one int64 word of row code, and at 2**63, so it needs two; a product
+# of 2**63 - 1 is the largest one word holds
+CARDS_BELOW_2_63 = (592, 614, 511, 498, 483, 511, 404)
+CARDS_AT_2_63 = (512,) * 7
+CARDS_2_63_MINUS_1 = (7, 7, 73, 127, 337, 92737, 649657)
+# 64 binary columns pack into two words; these rows share a few first
+# words and differ in the second
+TWO_WORD_ROWS = np.column_stack([repeated_rows((2,) * 62, 3000, 4, 18), random_rows((2, 2), 3000, 19)])
+
 EQUIVALENCE_CASES = {
     "card-1-variables": ((1, 3, 1, 2, 1), random_rows((1, 3, 1, 2, 1), 400, 0)),
     "uint16-cards": ((300, 2, 5, 300), random_rows((300, 2, 5, 300), 2000, 1)),
@@ -106,6 +125,11 @@ EQUIVALENCE_CASES = {
     "chunk-plus-7-distinct-rows": ((40,) * 4, random_rows((40,) * 4, _SAMPLE_CHUNK + 7, 3)),
     "every-row-identical": ((2, 3, 4), np.tile([1, 0, 3], (500, 1))),
     "every-row-distinct": ((3, 2, 4, 3), every_row_distinct((3, 2, 4, 3))),
+    "two-words": ((2,) * 64, repeated_rows((2,) * 64, 3000, 300, 4)),
+    "two-words-differing-in-the-second": ((2,) * 64, TWO_WORD_ROWS),
+    "ten-columns-of-100": ((100,) * 10, repeated_rows((100,) * 10, 3000, 300, 5)),
+    "product-below-2**63": (CARDS_BELOW_2_63, repeated_rows(CARDS_BELOW_2_63, 3000, 300, 6)),
+    "product-2**63": (CARDS_AT_2_63, repeated_rows(CARDS_AT_2_63, 3000, 300, 7)),
 }
 
 
@@ -115,7 +139,8 @@ def test_tuple_frequencies_matches_per_set_count(monkeypatch, name, chunk):
     monkeypatch.setattr(estimation, "_SAMPLE_CHUNK", chunk)
     cards, rows = EQUIVALENCE_CASES[name]
     s = SampleMatrix(cards, rows)
-    for k in sorted({1, 2, s.n}):
+    # a table over every variable is counted where it is small enough to hold
+    for k in sorted({1, 2, s.n} if math.prod(cards) <= 1 << 22 else {1, 2}):
         freq = tuple_frequencies(s, k)
         expected = per_set_counts(s, k)
         counted = {pos: freq.dense_counts(pos) for pos in expected}
@@ -189,3 +214,71 @@ def test_tuple_frequencies_peak_memory_per_row():
         tracemalloc.stop()
     tables = sum(arr.nbytes for arr in freq.counts.values())
     assert peak < 12 * s.l + tables
+
+
+DISTINCT_CASES = {
+    **EQUIVALENCE_CASES,
+    "three-words": ((3,) * 100, repeated_rows((3,) * 100, 2000, 100, 10)),
+    "product-2**63-1": (CARDS_2_63_MINUS_1, repeated_rows(CARDS_2_63_MINUS_1, 2000, 100, 16)),
+    "one-bit-past-62": ((2,) * 63, repeated_rows((2,) * 63, 2000, 100, 17)),
+    "uint64-cards": ((3, 2**40, 2), repeated_rows((3, 2**40, 2), 2000, 100, 14)),
+}
+
+
+@pytest.mark.parametrize("name", list(DISTINCT_CASES))
+def test_distinct_rows_match_unique_rows(name):
+    cards, rows = DISTINCT_CASES[name]
+    s = SampleMatrix(cards, rows)
+    distinct, weights = _distinct_rows(s.rows, s.cards)
+    values, counts = np.unique(s.rows, axis=0, return_counts=True)
+    assert distinct.dtype == s.rows.dtype and weights.dtype == np.float64
+    assert distinct.shape == (s.n, len(values)) and weights.shape == (len(values),)
+    # the same rows and multiplicities, in any order
+    assert sorted(zip(map(tuple, distinct.T.tolist()), weights.tolist())) == sorted(
+        zip(map(tuple, values.tolist()), counts.astype(np.float64).tolist())
+    )
+
+
+def test_row_code_words():
+    # as many columns per word as keep the product of their cardinalities
+    # below 2**63; a row of at most 62 bits is one word
+    assert _word_columns(CARDS_BELOW_2_63) == _word_columns(CARDS_2_63_MINUS_1) == [list(range(7))]
+    assert _word_columns(CARDS_AT_2_63) == [list(range(6)), [6]]
+    assert _word_columns((2,) * 62) == [list(range(62))]
+    assert _word_columns((2,) * 63) == [list(range(62)), [62]]
+    assert _word_columns((2,) * 64) == [list(range(62)), [62, 63]]
+    assert _word_columns((1, 2**63, 1, 2)) == [[0], [1], [2, 3]]
+
+
+def test_sample_peak_memory_is_bounded_by_the_block():
+    # beyond the rows it returns, a draw holds a block's uniforms, their
+    # transposed copy and per-node temporaries of one block: less than
+    # three (_SAMPLE_CHUNK, n) float64 arrays, whatever l is
+    dag = random_dag(12, 2, 2, 0)
+    tracemalloc.start()
+    try:
+        s = sample(dag, 100_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < s.rows.nbytes + 3 * _SAMPLE_CHUNK * dag.n * 8
+    # and a block is cache-sized: its uniforms and their copy fit a 2 MiB L2
+    assert 2 * _SAMPLE_CHUNK * dag.n * 8 <= 2 << 20
+
+
+def test_distinct_rows_peak_memory_per_row_over_several_words():
+    # with W words a row holds its W int64 codes (8W bytes), the lexsort
+    # order (8), one word gathered into that order (8), the run-start
+    # flags (1) and one comparison of neighbours (1): 8W + 18 bytes. The
+    # rows repeat, so what grows with the distinct rows stays below the
+    # one byte a row left over.
+    s = SampleMatrix((2,) * 100, repeated_rows((2,) * 100, 200_000, 500, 15))
+    words = len(_word_columns(s.cards))
+    assert words == 2
+    tracemalloc.start()
+    try:
+        _distinct_rows(s.rows, s.cards)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (8 * words + 19) * s.l
