@@ -5,7 +5,7 @@
 packed int64 row codes: sampled rows repeat heavily (an n=12, d=2 sample of
 1e5 rows has about 2.2k). A
 ``FrequencyTable`` then counts a position set the first time it is asked
-for, with one Horner step and one weighted ``np.bincount`` over the
+for, with one Horner code and one weighted ``np.bincount`` over the
 distinct rows, so recovery counts only the sets its decisions read.
 ``FrequencyTable.counts`` keeps the sets asked for through ``dense_counts``;
 the empirical provider and the deviation sweep count without storing.
@@ -80,9 +80,14 @@ class SampleMatrix:
         if arr.ndim != 2 or arr.shape[1] != len(self.cards):
             raise InvalidSamplesError(f"rows must be (l, {len(self.cards)}), got {arr.shape}")
         # checked before narrowing, where an out-of-range value could wrap into
-        # range; per-column reductions keep the check free of (l, n) temporaries
-        if arr.size and (np.any(arr.min(axis=0) < 0) or np.any(arr.max(axis=0) >= np.asarray(self.cards))):
-            row, j = np.argwhere((arr < 0) | (arr >= np.asarray(self.cards)))[0]
+        # range; per-column reductions keep the check free of (l, n) temporaries.
+        # Each column is compared with its cardinality as a Python int: an
+        # array of the cardinalities would be float64 above 2**63.
+        if arr.size and any(
+            lo < 0 or hi >= c for lo, hi, c in zip(arr.min(axis=0).tolist(), arr.max(axis=0).tolist(), self.cards)
+        ):
+            bad = np.column_stack([(arr[:, j] < 0) | (arr[:, j] >= c) for j, c in enumerate(self.cards)])
+            row, j = np.argwhere(bad)[0]
             raise InvalidSamplesError(
                 f"sample value {arr[row, j]} of x{j + 1} in row {row + 1} out of range for cardinality {self.cards[j]}"
             )
@@ -154,13 +159,6 @@ class FrequencyTable:
     weights: np.ndarray = field(repr=False)
     counts: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        # _codes[i + 1]: Horner code of the first i+1 positions of _prefix,
-        # the last set counted, in intp (a narrow column times a stride
-        # would wrap); _codes[0] stays 0
-        self._codes = np.zeros((self.k + 1, self.distinct.shape[1]), dtype=np.intp)
-        self._prefix = ()
-
     @property
     def n(self) -> int:
         return len(self.cards)
@@ -186,23 +184,18 @@ class FrequencyTable:
         return arr
 
     def _count(self, pos) -> np.ndarray:
-        """Float64 counts over ``pos``, checked positions of any size up to
-        k, in the layout of ``counts``; nothing is stored.
+        """Float64 counts over ``pos``, sorted positions of any size, in
+        the layout of ``counts``; nothing is stored. No positions give the
+        one cell that counts every row.
 
-        The codes of the prefix shared with the last set counted are kept,
-        so a sweep in ``itertools.combinations`` order costs one multiply-add
-        and one weighted ``np.bincount`` over the distinct rows per set. The
-        float64 sums are exact: each is an integer of at most l < 2**53.
+        One Horner code of the distinct rows and one weighted
+        ``np.bincount``. The float64 sums are exact: each is an integer of
+        at most l < 2**53, so the order of the rows does not matter.
         """
-        j = 0
-        while j < min(len(pos), len(self._prefix)) and pos[j] == self._prefix[j]:
-            j += 1
-        for i in range(j, len(pos)):
-            np.multiply(self._codes[i], self.cards[pos[i] - 1], out=self._codes[i + 1])
-            self._codes[i + 1] += self.distinct[pos[i] - 1]
-        self._prefix = pos
-        size = math.prod(self.cards[p - 1] for p in pos)
-        return np.bincount(self._codes[len(pos)], weights=self.weights, minlength=size)
+        cols = [p - 1 for p in pos]
+        dims = [self.cards[c] for c in cols]
+        codes = _tuple_codes(self.distinct.T, cols, dims) if cols else np.zeros(self.distinct.shape[1], dtype=np.intp)
+        return np.bincount(codes, weights=self.weights, minlength=math.prod(dims))
 
 
 def sample(dag: DiscreteDag, l: int, seed) -> SampleMatrix:

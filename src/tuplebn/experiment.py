@@ -29,7 +29,7 @@ import numpy as np
 
 from .estimation import EmpiricalMarginalProvider, sample, tuple_frequencies
 from .model import _index, _indices, _read_json, _real, _require_object, _write_json, factorized_joint, random_dag
-from .oracle import is_markov_relative, marginal
+from .oracle import _FOLD_ENTRIES, _SCATTER_ENTRIES, _scatter_fold, is_markov_relative, marginal
 from .recovery import (
     _EPSILON_LIMIT,
     ModelViolationError,
@@ -167,16 +167,52 @@ class TrialReport:
 
 
 def _max_frequency_deviation(freq, joint) -> float:
-    """Largest |empirical - exact| over all stored-size tuple cylinders."""
+    """Largest |empirical - exact| over all stored-size tuple cylinders.
+
+    The sets of a small prefix are read a chunk at a time, by one fold of
+    the prefix and of the counts for many sets (``_cylinder_tables``).
+    Every table has the bits of reading its set alone, so the max does too.
+    """
     worst = 0.0
-    n = len(freq.cards)
-    for pos in itertools.combinations(range(1, n + 1), freq.k):
-        emp = freq._count(pos) / freq.l
-        exact = marginal(joint, pos)
-        dev = float(np.abs(emp - exact).max())
-        if dev > worst:
-            worst = dev
+    for counts, exact in _cylinder_tables(freq, joint):
+        worst = max(worst, float(np.abs(counts / freq.l - exact).max()))
     return worst
+
+
+def _cylinder_tables(freq, joint):
+    """The float64 counts and the exact marginal of every size-k position
+    set, as (counts, exact) pairs of one set or of a chunk of sets whose
+    cells follow one another.
+
+    A set's prefix is ``joint.prefix(m)``, m its last position of
+    cardinality above 1, as in ``marginal``. Below ``_SCATTER_ENTRIES``
+    entries, the sets of one m wait until they fill ``_FOLD_ENTRIES``
+    prefix entries; one ``_scatter_fold`` then folds the prefix and the
+    sample's counts over positions 1..m for all of them. The fold adds each
+    cell's entries in prefix order from 0.0, as ``marginal`` does, and the
+    counts are exact integers, so every value has the bits of ``marginal``
+    and ``FrequencyTable._count`` for the set alone, which read each set of
+    a larger prefix.
+    """
+    cards = freq.cards
+    chunks = {}  # per m: the counts over 1..m and the prefix, and the kept axes of the sets not folded yet
+    for pos in itertools.combinations(range(1, len(cards) + 1), freq.k):
+        m = max((p for p in pos if cards[p - 1] > 1), default=0)
+        if m not in chunks:
+            prefix = joint.prefix(m)
+            small = prefix.size < _SCATTER_ENTRIES
+            chunks[m] = (np.stack([freq._count(range(1, m + 1)), prefix]), []) if small else None
+        if chunks[m] is None:
+            yield freq._count(pos), marginal(joint, pos)
+            continue
+        flats, kept = chunks[m]
+        kept.append([p - 1 for p in pos if p <= m])
+        if (len(kept) + 1) * flats.shape[1] > _FOLD_ENTRIES:
+            yield _scatter_fold(flats, cards[:m], kept)
+            kept.clear()
+    for m, chunk in chunks.items():
+        if chunk and chunk[1]:
+            yield _scatter_fold(chunk[0], cards[:m], chunk[1])
 
 
 def run_trial_cell(config: ExperimentConfig, trial: int, l_index: int) -> TrialReport:

@@ -8,6 +8,13 @@ the other positions of the prefix folded out. The result is bit for bit
 the one numpy's ``joint.array.sum`` over the unqueried axes gives, so the
 recovered tables do not change with the reduction.
 
+``_scatter_fold`` folds a prefix for one kept set of positions, or for a
+chunk of sets in one call: the experiment's deviation sweep reads every
+set of one m that way, ``_FOLD_ENTRIES`` prefix entries at a time. Each
+cell still adds its prefix entries one by one, in prefix order, from 0.0,
+so a set's cells have the same bits whether it is folded alone or in a
+chunk.
+
 Dependence is measured in cross-multiplied form,
 ``|P(x,y,z) * P(z) - P(x,z) * P(y,z)|``, which avoids dividing by small
 conditioning masses; contexts with ``P(z)`` at or below a skip level are
@@ -42,6 +49,15 @@ _BOOLS = frozenset((bool, np.bool_))
 # Prefixes of this many entries or more are folded by _scatter_fold; below
 # it, building the cell index costs more than not moving the prefix saves.
 _SCATTER_ENTRIES = 1 << 13
+
+# Prefix entries per call when the deviation sweep folds a chunk of kept
+# sets with _scatter_fold, each set repeating the prefix once. The values
+# do not depend on this value; it bounds a call's temporaries whatever the
+# number of sets. The repeated prefix takes 8 bytes an entry, the cell
+# index at most 2, and the two folded rows, of at most half as many cells
+# as entries for all but one set of an m, about 8 more: under 576 KiB a
+# call, which stays in the L2 cache.
+_FOLD_ENTRIES = 1 << 15
 
 
 class TupleSizeError(ValueError):
@@ -111,37 +127,54 @@ def marginal(joint: JointTable, positions) -> np.ndarray:
     summed = [a for a in range(m) if a + 1 not in pos and joint.cards[a] > 1]
     flat = joint.prefix(m)
     if summed:
-        kept_size = math.prod(joint.cards[p - 1] for p in pos)
         if flat.size < _SCATTER_ENTRIES:
             kept = [a for a in range(m) if a not in summed]
             moved = flat.reshape(joint.cards[:m]).transpose(summed + kept)
+            kept_size = math.prod(joint.cards[p - 1] for p in pos)
             flat = np.ascontiguousarray(moved).reshape(-1, kept_size).sum(axis=0)
         else:
-            flat = _scatter_fold(flat, joint.cards[:m], {p - 1 for p in pos if p <= m}, kept_size)
+            flat = _scatter_fold(flat, joint.cards[:m], [[p - 1 for p in pos if p <= m]])
         flat.flags.writeable = False
     return flat
 
 
-def _scatter_fold(flat, cards, kept, kept_size: int) -> np.ndarray:
-    """``flat``, row-major over ``cards``, summed over the axes not in
-    ``kept``: ``np.add.at`` adds each entry to its cell in the order the
-    entries lie, which for each cell is the order of the row fold, so the
-    bits are the same, and the prefix is not moved."""
-    dtype = np.min_scalar_type(kept_size)  # a byte per entry for up to 255 cells
-    h = len(cards) // 2  # the cell index is an outer sum of two halves
-    high, _ = _cell_index(cards[:h], {a for a in kept if a < h}, dtype)
-    low, low_size = _cell_index(cards[h:], {a - h for a in kept if a >= h}, dtype)
-    out = np.zeros(kept_size)  # numpy's row fold starts from 0.0 too: a cell of -0.0 sums to 0.0
-    np.add.at(out, (high[:, None] * dtype.type(low_size) + low).ravel(), flat)
+def _scatter_fold(flat, cards, kept_sets) -> np.ndarray:
+    """``flat``, row-major over ``cards``, summed for each of ``kept_sets``,
+    increasing axes to keep, over the other axes: each set's cells in
+    row-major order over its kept axes, the sets one after another. A 2-d
+    ``flat`` is folded a row at a time into the same cells.
+
+    The prefix is not moved but repeated once per set, and ``np.add.at``
+    adds each entry to its cell in the order the entries lie, which for
+    each cell is the order of the row fold, so the bits are the same, and
+    the same as folding each set alone.
+    """
+    sizes = [math.prod(cards[a] for a in kept) for kept in kept_sets]
+    cells = np.arange(sum(sizes), dtype=np.min_scalar_type(sum(sizes)))  # a byte per entry for up to 255 cells
+    h = len(cards) // 2  # an entry's cell is the sum of those of its two halves
+    index = np.empty((len(sizes), math.prod(cards[:h]), math.prod(cards[h:])), dtype=cells.dtype)
+    offset = 0
+    for kept, size, entries in zip(kept_sets, sizes, index):
+        # byte strides of a view of ``cells`` that steps over the set's cells
+        # along its kept axes and stands still along the others
+        strides, step = [0] * len(cards), cells.itemsize
+        for a in reversed(kept):
+            strides[a] = step
+            step *= cards[a]
+        high = _cells(cells, cards[:h], strides[:h], offset)
+        np.add(high[:, None], _cells(cells, cards[h:], strides[h:], 0), out=entries)
+        offset += size
+    index = index.reshape(-1)
+    out = np.zeros(flat.shape[:-1] + (offset,))  # numpy's row fold starts from 0.0 too: a cell of -0.0 sums to 0.0
+    for folded, row in zip(out.reshape(-1, offset), flat.reshape(-1, flat.shape[-1])):
+        np.add.at(folded, index, np.broadcast_to(row, (len(sizes), row.size)).reshape(-1))
     return out
 
 
-def _cell_index(cards, kept, dtype):
-    """For each entry of a row-major array over ``cards``, its row-major
-    index over the ``kept`` axes; and the number of such cells."""
-    shape = [c if a in kept else 1 for a, c in enumerate(cards)]
-    size = math.prod(shape)
-    return np.broadcast_to(np.arange(size, dtype=dtype).reshape(shape), cards).ravel(), size
+def _cells(cells, cards, strides, offset) -> np.ndarray:
+    """The entries of ``cells`` that a view from entry ``offset``, over
+    ``cards`` with byte ``strides``, reads, in row-major order."""
+    return np.ndarray(cards, cells.dtype, cells, offset * cells.itemsize, strides).reshape(-1)
 
 
 def dependence_statistic(provider, X, L, K, skip_below: float) -> float:

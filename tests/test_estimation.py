@@ -100,6 +100,19 @@ def test_sample_matrix_range_checked_before_narrowing():
         SampleMatrix((2, 2), np.array([[256, 0]], dtype=np.uint16))
 
 
+def test_sample_matrix_range_check_is_exact_above_2_63():
+    # as float64, 2**63 + 4 and 2**63 + 5 are both 2**63
+    top = 2**63 + 5
+    s = SampleMatrix((top, 3), np.array([[top - 1, 2]], dtype=np.uint64))
+    assert s.rows.tolist() == [[top - 1, 2]]
+    message = f"sample value {top} of x1 in row 1 out of range for cardinality {top}"
+    with pytest.raises(InvalidSamplesError, match=f"^{message}$"):
+        SampleMatrix((top, 3), np.array([[top, 2]], dtype=np.uint64))
+    message = f"sample value -1 of x1 in row 2 out of range for cardinality {top}"
+    with pytest.raises(InvalidSamplesError, match=f"^{message}$"):
+        SampleMatrix((top, 3), np.array([[5, 2], [-1, 0]], dtype=np.int64))
+
+
 def test_tuple_frequencies_tiny_case():
     s = SampleMatrix((2, 2), [[0, 0], [0, 1]])
     freq = tuple_frequencies(s, 2)

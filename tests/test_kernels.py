@@ -14,13 +14,13 @@ from tuplebn import (
     SampleMatrix,
     estimation,
     factorized_joint,
-    marginal,
     random_dag,
     sample,
     tuple_frequencies,
 )
 from tuplebn.estimation import _SAMPLE_CHUNK, _distinct_rows, _inverse_cdf, _word_columns
 from tuplebn.experiment import _max_frequency_deviation
+from tuplebn.oracle import _FOLD_ENTRIES, _SCATTER_ENTRIES
 
 
 def test_sample_node_boundary_uniform():
@@ -164,9 +164,9 @@ def test_tuple_frequencies_matches_per_set_count_at_every_k():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_counts_do_not_depend_on_query_order(seed):
-    # the table keeps the Horner codes of the last set's prefixes; sets of
-    # every size up to k, asked in any order and more than once, through the
-    # table or the provider over it, must still read the per-set reference
+    # the table keeps no state between counts: sets of every size up to k,
+    # asked in any order and more than once, through the table or the
+    # provider over it, must read the per-set reference
     s = SampleMatrix((2, 3, 1, 4, 2, 3), random_rows((2, 3, 1, 4, 2, 3), 800, seed))
     freq = tuple_frequencies(s, 4)
     provider = EmpiricalMarginalProvider(freq)
@@ -180,24 +180,63 @@ def test_counts_do_not_depend_on_query_order(seed):
     assert sorted(freq.counts) == list(per_set_counts(s, 4))
 
 
+def full_sum_marginal(joint, pos):
+    """Reference: one numpy sum of the dense joint over every axis not in
+    pos, flat."""
+    drop = tuple(a for a in range(joint.n) if a + 1 not in pos)
+    return np.ascontiguousarray(joint.array.sum(axis=drop) if drop else joint.array).reshape(-1)
+
+
 @pytest.mark.parametrize("n, cards, l", [
     (12, 2, 20_000),
     (8, (2, 3, 1, 4, 2, 3, 2, 5), 5_000),
+    # prefixes on both sides of oracle._SCATTER_ENTRIES: m <= 12 is folded in
+    # chunks, m = 13 and 14 one set at a time
+    (14, 2, 2_000),
+    # cardinality-1 positions last and between: m falls below the last
+    # position, and (2, 4, 6, 8, 10) has no position of cardinality above 1
+    (10, (2, 1, 3, 1, 2, 1, 2, 1, 2, 1), 3_000),
+    # k == n
+    (5, (2, 3, 1, 2, 1), 1_000),
 ])
 def test_max_frequency_deviation_stores_no_counts(n, cards, l):
+    k = min(n, 5)
     dag = random_dag(n, 2, cards, seed=n)
-    freq = tuple_frequencies(sample(dag, l, seed=1), 5)
+    samples = sample(dag, l, seed=1)
+    freq = tuple_frequencies(samples, k)
     joint = factorized_joint(dag)
-    freq.dense_counts((1, 2, 3, 4, 5))
+    freq.dense_counts(tuple(range(1, k + 1)))
     before = dict(freq.counts)
     dev = _max_frequency_deviation(freq, joint)
     assert freq.counts.keys() == before.keys()
     assert all(freq.counts[pos] is arr for pos, arr in before.items())
     reference = max(
-        float(np.abs(freq.dense_counts(pos).astype(np.float64) / freq.l - marginal(joint, pos)).max())
-        for pos in itertools.combinations(range(1, n + 1), freq.k)
+        float(np.abs(counts / l - full_sum_marginal(joint, pos)).max())
+        for pos, counts in per_set_counts(samples, k).items()
     )
     assert dev == reference > 0
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_max_frequency_deviation_peak_memory_is_bounded_by_the_chunk(n):
+    # a fold call holds under 18 bytes for each of its _FOLD_ENTRIES prefix
+    # entries (see oracle._FOLD_ENTRIES). The sweep keeps, per m with a prefix
+    # below _SCATTER_ENTRIES entries, that prefix and the counts over it: two
+    # rows of 8 bytes over the prefixes, whose sizes at least double with m,
+    # so fewer than 2 * _SCATTER_ENTRIES entries in all. C(n, k) takes no
+    # part: 792 sets at n=12, 2,002 at n=14.
+    dag = random_dag(n, 2, 2, seed=n)
+    freq = tuple_frequencies(sample(dag, 2_000, seed=1), 5)
+    joint = factorized_joint(dag)
+    for m in range(n + 1):
+        joint.prefix(m)  # cached on the joint, outside the sweep
+    tracemalloc.start()
+    try:
+        _max_frequency_deviation(freq, joint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * _FOLD_ENTRIES + 32 * _SCATTER_ENTRIES
 
 
 def test_tuple_frequencies_peak_memory_per_row():

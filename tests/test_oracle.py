@@ -17,6 +17,7 @@ from tuplebn import (
     marginal,
     random_dag,
 )
+from tuplebn.oracle import _scatter_fold
 
 
 def exact_independent(joint, X, Y, Z):
@@ -110,17 +111,47 @@ def test_marginal_bit_identical_to_full_sum(cards, seed):
 
 
 
+def negative_zero_joint(n):
+    """A binary joint whose entries with x_n = 1 are all -0.0."""
+    probs = factorized_joint(random_dag(n, 2, 2, seed=n)).array.copy()
+    probs[..., 1] = -0.0
+    probs /= probs.sum()
+    return JointTable((2,) * n, probs)
+
+
 @pytest.mark.parametrize("n", [8, 14])
 def test_marginal_keeps_negative_zero(n):
     # numpy's row fold starts from 0.0, so a cell whose entries are all
     # -0.0 sums to 0.0; the fold of a large prefix must agree
-    probs = factorized_joint(random_dag(n, 2, 2, seed=n)).array.copy()
-    probs[..., 1] = -0.0
-    probs /= probs.sum()
-    joint = JointTable((2,) * n, probs)
+    joint = negative_zero_joint(n)
     for pos in [(3, n), (n,), (1, 2, n)]:
         m = marginal(joint, pos)
         assert m.tobytes() == old_marginal_probs(joint, pos).tobytes(), pos
+
+
+@pytest.mark.parametrize("make", [
+    lambda: negative_zero_joint(8),
+    lambda: negative_zero_joint(14),
+    lambda: factorized_joint(random_dag(8, 2, (1, 2, 1, 3, 1, 2, 2, 1), seed=3)),
+    lambda: factorized_joint(random_dag(7, 2, (2, 1, 3, 12, 2, 2, 1), seed=4)),
+], ids=["negative-zero-8", "negative-zero-14", "card-1-variables", "mixed-cards"])
+def test_scatter_fold_of_many_sets_matches_each_set(make):
+    # the deviation sweep folds a chunk of the sets of one m in one call:
+    # each set's cells must have the bits of the full sum, -0.0 cells too,
+    # and each row of a 2-d prefix must fold as it does alone
+    joint = make()
+    groups = {}
+    for k in (1, 2, 3):
+        for pos in itertools.combinations(range(1, joint.n + 1), k):
+            groups.setdefault(max((p for p in pos if joint.cards[p - 1] > 1), default=0), []).append(pos)
+    for m, sets in groups.items():
+        prefix = joint.prefix(m)
+        kept = [[p - 1 for p in pos if p <= m] for pos in sets]
+        folded = _scatter_fold(prefix, joint.cards[:m], kept)
+        expected = np.concatenate([old_marginal_probs(joint, pos) for pos in sets])
+        assert folded.tobytes() == expected.tobytes(), m
+        twice = _scatter_fold(np.stack([prefix, 2 * prefix]), joint.cards[:m], kept)
+        assert twice.tobytes() == np.stack([folded, 2 * folded]).tobytes(), m
 
 
 def test_chain_screening(chain_joint):
