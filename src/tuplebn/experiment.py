@@ -29,7 +29,7 @@ import numpy as np
 
 from .estimation import EmpiricalMarginalProvider, sample, tuple_frequencies
 from .model import _index, _indices, _read_json, _real, _require_object, _write_json, factorized_joint, random_dag
-from .oracle import _FOLD_ENTRIES, _SCATTER_ENTRIES, _scatter_fold, is_markov_relative, marginal
+from .oracle import _FOLD_ENTRIES, _fold_index, _scatter_fold, is_markov_relative
 from .recovery import (
     _EPSILON_LIMIT,
     ModelViolationError,
@@ -169,9 +169,9 @@ class TrialReport:
 def _max_frequency_deviation(freq, joint) -> float:
     """Largest |empirical - exact| over all stored-size tuple cylinders.
 
-    The sets of a small prefix are read a chunk at a time, by one fold of
-    the prefix and of the counts for many sets (``_cylinder_tables``).
-    Every table has the bits of reading its set alone, so the max does too.
+    The sets are read a chunk at a time, by one fold of the prefix and one
+    count of the sample for many sets (``_cylinder_tables``). Every table
+    has the bits of reading its set alone, so the max does too.
     """
     worst = 0.0
     for counts, exact in _cylinder_tables(freq, joint):
@@ -181,38 +181,34 @@ def _max_frequency_deviation(freq, joint) -> float:
 
 def _cylinder_tables(freq, joint):
     """The float64 counts and the exact marginal of every size-k position
-    set, as (counts, exact) pairs of one set or of a chunk of sets whose
-    cells follow one another.
+    set, as (counts, exact) pairs of a chunk of sets whose cells follow one
+    another.
 
     A set's prefix is ``joint.prefix(m)``, m its last position of
-    cardinality above 1, as in ``marginal``. Below ``_SCATTER_ENTRIES``
-    entries, the sets of one m wait until they fill ``_FOLD_ENTRIES``
-    prefix entries; one ``_scatter_fold`` then folds the prefix and the
-    sample's counts over positions 1..m for all of them. The fold adds each
-    cell's entries in prefix order from 0.0, as ``marginal`` does, and the
-    counts are exact integers, so every value has the bits of ``marginal``
-    and ``FrequencyTable._count`` for the set alone, which read each set of
-    a larger prefix.
+    cardinality above 1, as in ``oracle.marginal``. The sets of one m are
+    read ``_FOLD_ENTRIES`` prefix entries at a time, or one at a time when
+    their prefix is larger; one cell index then folds the chunk's prefix
+    and its counts, the nonzero entries of the sample's counts over 1..m.
+    The fold adds each cell's entries in prefix order from 0.0, as
+    ``marginal`` does, and the counts are exact integers, so every value
+    has the bits of ``marginal`` and ``FrequencyTable._count`` for the set
+    alone.
     """
-    cards = freq.cards
-    chunks = {}  # per m: the counts over 1..m and the prefix, and the kept axes of the sets not folded yet
-    for pos in itertools.combinations(range(1, len(cards) + 1), freq.k):
-        m = max((p for p in pos if cards[p - 1] > 1), default=0)
-        if m not in chunks:
-            prefix = joint.prefix(m)
-            small = prefix.size < _SCATTER_ENTRIES
-            chunks[m] = (np.stack([freq._count(range(1, m + 1)), prefix]), []) if small else None
-        if chunks[m] is None:
-            yield freq._count(pos), marginal(joint, pos)
-            continue
-        flats, kept = chunks[m]
-        kept.append([p - 1 for p in pos if p <= m])
-        if (len(kept) + 1) * flats.shape[1] > _FOLD_ENTRIES:
-            yield _scatter_fold(flats, cards[:m], kept)
-            kept.clear()
-    for m, chunk in chunks.items():
-        if chunk and chunk[1]:
-            yield _scatter_fold(chunk[0], cards[:m], chunk[1])
+    n, cards = len(freq.cards), freq.cards
+    for m in [0] + [p for p in range(1, n + 1) if cards[p - 1] > 1]:
+        # the sets of this m: m, if not 0, and the rest from the positions
+        # before it and the positions of cardinality 1 after it
+        last = (m,) if m else ()
+        pool = [p for p in range(1, n + 1) if p < m or p > m and cards[p - 1] == 1]
+        kept = ([p - 1 for p in rest + last if p <= m] for rest in itertools.combinations(pool, freq.k - len(last)))
+        prefix = joint.prefix(m)
+        counts = freq._count(range(1, m + 1))
+        nonzero = np.flatnonzero(counts)
+        counts = counts[nonzero]
+        per_call = max(1, _FOLD_ENTRIES // prefix.size)
+        for chunk in iter(lambda: list(itertools.islice(kept, per_call)), []):
+            index, cells = _fold_index(cards[:m], chunk)
+            yield _scatter_fold(counts, index[:, nonzero], cells), _scatter_fold(prefix, index, cells)
 
 
 def run_trial_cell(config: ExperimentConfig, trial: int, l_index: int) -> TrialReport:

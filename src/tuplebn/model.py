@@ -258,6 +258,7 @@ def random_dag(
         raise ValueError(f"n must be >= 1, got {n}")
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
+    alpha, floor = _real(alpha, "alpha"), _real(floor, "floor")
     # each check is written so that a NaN fails it
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")

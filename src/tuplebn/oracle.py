@@ -8,12 +8,10 @@ the other positions of the prefix folded out. The result is bit for bit
 the one numpy's ``joint.array.sum`` over the unqueried axes gives, so the
 recovered tables do not change with the reduction.
 
-``_scatter_fold`` folds a prefix for one kept set of positions, or for a
-chunk of sets in one call: the experiment's deviation sweep reads every
-set of one m that way, ``_FOLD_ENTRIES`` prefix entries at a time. Each
-cell still adds its prefix entries one by one, in prefix order, from 0.0,
-so a set's cells have the same bits whether it is folded alone or in a
-chunk.
+Every fold, of one set in ``marginal`` or of a chunk of the sets of one
+m in the experiment's deviation sweep, adds the prefix into the cells of
+one index (``_fold_index``), so a set's cells have the same bits either
+way.
 
 Dependence is measured in cross-multiplied form,
 ``|P(x,y,z) * P(z) - P(x,z) * P(y,z)|``, which avoids dividing by small
@@ -46,17 +44,13 @@ EXACT_TOL = 1e-9
 
 _BOOLS = frozenset((bool, np.bool_))
 
-# Prefixes of this many entries or more are folded by _scatter_fold; below
-# it, building the cell index costs more than not moving the prefix saves.
-_SCATTER_ENTRIES = 1 << 13
-
 # Prefix entries per call when the deviation sweep folds a chunk of kept
-# sets with _scatter_fold, each set repeating the prefix once. The values
-# do not depend on this value; it bounds a call's temporaries whatever the
-# number of sets. The repeated prefix takes 8 bytes an entry, the cell
-# index at most 2, and the two folded rows, of at most half as many cells
-# as entries for all but one set of an m, about 8 more: under 576 KiB a
-# call, which stays in the L2 cache.
+# sets with _scatter_fold, each set repeating the prefix once; a larger
+# prefix is folded one set a call. The values do not depend on this value;
+# it bounds a call's temporaries whatever the number of sets. The repeated
+# prefix takes 8 bytes an entry, the cell index at most 2, and the folded
+# cells, at most half as many as entries for all but one set of an m,
+# about 4 more: under 512 KiB a call, which stays in the L2 cache.
 _FOLD_ENTRIES = 1 << 15
 
 
@@ -113,41 +107,27 @@ def marginal(joint: JointTable, positions) -> np.ndarray:
 
     The positions after m, the last queried position of cardinality above
     1, are summed by the joint's cached prefix over 1..m. The unqueried
-    positions before m are folded out: each cell adds its entries one by
-    one, in the order of those positions' configurations. A small prefix
-    is folded so by moving them to the front, in their order, and summing
-    row by row; a prefix of ``_SCATTER_ENTRIES`` or more entries, by
-    ``_scatter_fold``, which adds in the same order and does not move the
-    prefix. Positions of cardinality 1 take no part: with them m could
-    reach n, and a fold over the whole joint adds in another order than
-    the prefix sum.
+    positions before m are folded out by ``_scatter_fold``: each cell adds
+    its entries one by one, in the order of those positions'
+    configurations, without moving the prefix. Positions of cardinality 1
+    take no part: with them m could reach n, and a fold over the whole
+    joint adds in another order than the prefix sum.
     """
     pos = _check_positions(positions, joint.n)
     m = max((p for p in pos if joint.cards[p - 1] > 1), default=0)
-    summed = [a for a in range(m) if a + 1 not in pos and joint.cards[a] > 1]
     flat = joint.prefix(m)
-    if summed:
-        if flat.size < _SCATTER_ENTRIES:
-            kept = [a for a in range(m) if a not in summed]
-            moved = flat.reshape(joint.cards[:m]).transpose(summed + kept)
-            kept_size = math.prod(joint.cards[p - 1] for p in pos)
-            flat = np.ascontiguousarray(moved).reshape(-1, kept_size).sum(axis=0)
-        else:
-            flat = _scatter_fold(flat, joint.cards[:m], [[p - 1 for p in pos if p <= m]])
+    if any(a + 1 not in pos and joint.cards[a] > 1 for a in range(m)):
+        flat = _scatter_fold(flat, *_fold_index(joint.cards[:m], [[p - 1 for p in pos if p <= m]]))
         flat.flags.writeable = False
     return flat
 
 
-def _scatter_fold(flat, cards, kept_sets) -> np.ndarray:
-    """``flat``, row-major over ``cards``, summed for each of ``kept_sets``,
-    increasing axes to keep, over the other axes: each set's cells in
-    row-major order over its kept axes, the sets one after another. A 2-d
-    ``flat`` is folded a row at a time into the same cells.
-
-    The prefix is not moved but repeated once per set, and ``np.add.at``
-    adds each entry to its cell in the order the entries lie, which for
-    each cell is the order of the row fold, so the bits are the same, and
-    the same as folding each set alone.
+def _fold_index(cards, kept_sets) -> tuple[np.ndarray, int]:
+    """The cell of each entry of a prefix, row-major over ``cards``, for
+    each of ``kept_sets``, increasing axes to keep, as a (sets, entries)
+    array, and the number of cells. A set's cells are row-major over its
+    kept axes, the sets one after another; an entry's cell is that of its
+    values on the kept axes.
     """
     sizes = [math.prod(cards[a] for a in kept) for kept in kept_sets]
     cells = np.arange(sum(sizes), dtype=np.min_scalar_type(sum(sizes)))  # a byte per entry for up to 255 cells
@@ -164,10 +144,20 @@ def _scatter_fold(flat, cards, kept_sets) -> np.ndarray:
         high = _cells(cells, cards[:h], strides[:h], offset)
         np.add(high[:, None], _cells(cells, cards[h:], strides[h:], 0), out=entries)
         offset += size
-    index = index.reshape(-1)
-    out = np.zeros(flat.shape[:-1] + (offset,))  # numpy's row fold starts from 0.0 too: a cell of -0.0 sums to 0.0
-    for folded, row in zip(out.reshape(-1, offset), flat.reshape(-1, flat.shape[-1])):
-        np.add.at(folded, index, np.broadcast_to(row, (len(sizes), row.size)).reshape(-1))
+    return index.reshape(len(sizes), -1), offset
+
+
+def _scatter_fold(flat, index, cells) -> np.ndarray:
+    """The 1-d ``flat`` summed into ``cells`` cells by ``index``, a
+    ``_fold_index`` or some of its columns, ``flat`` repeated once per set.
+
+    ``np.add.at`` adds each entry to its cell in the order the entries lie,
+    which for each cell is the order of numpy's row fold over the other
+    axes, so the bits are those of ``joint.array.sum``, and the same as
+    folding each set alone.
+    """
+    out = np.zeros(cells)  # numpy's row fold starts from 0.0 too: a cell of -0.0 sums to 0.0
+    np.add.at(out, index.reshape(-1), np.broadcast_to(flat, index.shape).reshape(-1))
     return out
 
 

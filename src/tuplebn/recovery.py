@@ -18,7 +18,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .model import DiscreteDag, JointTable
+from .model import DiscreteDag, JointTable, _index
 from .oracle import EXACT_TOL, ExactMarginalProvider, dependence_statistic
 
 __all__ = [
@@ -194,6 +194,7 @@ def recover_structure(decider: CiDecider, n: int, delta: int) -> tuple[Skeleton,
     (not necessarily the generating graph). Raises ModelViolationError when
     no candidate set passes for some node.
     """
+    n, delta = _index(n, "n"), _index(delta, "delta")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if delta < 0:
@@ -234,6 +235,8 @@ def attach_cpts(skeleton: Skeleton, provider) -> AttachResult:
     the uniform row and are flagged.
     """
     cards = provider.cards
+    if skeleton.n != len(cards):
+        raise ValueError(f"skeleton has n={skeleton.n} but the provider has {len(cards)} variables")
     flagged: list[tuple[int, int]] = []
     cpts = []
     for j in range(1, skeleton.n + 1):

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import _index, _write_json
+from .model import _index, _real, _write_json
 
 __all__ = [
     "Certificate",
@@ -48,6 +48,7 @@ class CylinderCount(NamedTuple):
 
 def cylinder_count(n: int, k: int, d: int) -> CylinderCount:
     """Number of k-position cylinder events: exactly d^k * C(n,k), below (nd)^k."""
+    n, k, d = _index(n, "n"), _index(k, "k"), _index(d, "d")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if d < 1:
@@ -68,6 +69,7 @@ def vc_upper_bound(n: int, k: int, d: int, tight: bool = False) -> float:
 def vc_lower_bound(n: int, k: int) -> int:
     """floor(log2(n-k+1)); attained by the shatter_witness construction,
     which additionally needs every position to offer two distinct values."""
+    n, k = _index(n, "n"), _index(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return (n - k + 1).bit_length() - 1
@@ -85,8 +87,9 @@ def risk_bound(h: float, l: int, epsilon: float) -> RiskBound:
     Evaluated in log space; the raw value can dwarf float range for small l,
     so the exponential is only taken when it fits.
     """
-    if h <= 0:
-        raise ValueError(f"h must be > 0, got {h}")
+    h, l = _real(h, "h"), _index(l, "l")
+    if not 0 < h < math.inf:  # so that a NaN fails
+        raise ValueError(f"h must be finite and > 0, got {h}")
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
     if not 0 < epsilon < 1:
@@ -177,6 +180,7 @@ def shatter_witness(n: int, k: int, value_pairs=None) -> ShatterWitness:
     Columns beyond the binary-word block are unconstrained by the argument
     below; they are zero-filled for determinism.
     """
+    n, k = _index(n, "n"), _index(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if value_pairs is None:
@@ -230,8 +234,11 @@ def verify_shattered(witness: ShatterWitness, k: int) -> VerifyResult:
 
     One pass over the columns maps each column vector (its first l_points
     entries) to the first column that holds it, so each subset finds its
-    column with one lookup instead of a scan.
+    column with one lookup instead of a scan. ``k`` other than the
+    witness's raises ValueError.
     """
+    if _index(k, "k") != witness.k:
+        raise ValueError(f"k must be the witness's k={witness.k}, got {k}")
     lp = witness.l_points
     # by index, not zip(*matrix): with l_points == 0 every column is ()
     first_column: dict[tuple[int, ...], int] = {}

@@ -19,8 +19,8 @@ from tuplebn import (
     tuple_frequencies,
 )
 from tuplebn.estimation import _SAMPLE_CHUNK, _distinct_rows, _inverse_cdf, _word_columns
-from tuplebn.experiment import _max_frequency_deviation
-from tuplebn.oracle import _FOLD_ENTRIES, _SCATTER_ENTRIES
+from tuplebn.experiment import _cylinder_tables, _max_frequency_deviation
+from tuplebn.oracle import _FOLD_ENTRIES
 
 
 def test_sample_node_boundary_uniform():
@@ -190,8 +190,7 @@ def full_sum_marginal(joint, pos):
 @pytest.mark.parametrize("n, cards, l", [
     (12, 2, 20_000),
     (8, (2, 3, 1, 4, 2, 3, 2, 5), 5_000),
-    # prefixes on both sides of oracle._SCATTER_ENTRIES: m <= 12 is folded in
-    # chunks, m = 13 and 14 one set at a time
+    # prefixes of 2**13 and 2**14 entries: two sets of m = 14 fill a chunk
     (14, 2, 2_000),
     # cardinality-1 positions last and between: m falls below the last
     # position, and (2, 4, 6, 8, 10) has no position of cardinality above 1
@@ -217,14 +216,51 @@ def test_max_frequency_deviation_stores_no_counts(n, cards, l):
     assert dev == reference > 0
 
 
+@pytest.mark.parametrize("n, cards, k, l", [
+    # 2**16 and 2**15 prefix entries: one set a chunk; 2**14: two sets
+    (16, 2, 3, 400),
+    (14, 2, 5, 300),
+    # cardinality-1 positions last and between
+    (14, (2,) * 6 + (1,) + (2,) * 6 + (1,), 5, 300),
+])
+def test_cylinder_tables_match_each_set(n, cards, k, l):
+    # each chunk is a run of sets of one m in combinations order; its counts
+    # and marginal must have, byte for byte, the cells of each set's count
+    # and of the full sum, the sets one after another
+    dag = random_dag(n, 2, cards, seed=n)
+    freq = tuple_frequencies(sample(dag, l, seed=2), k)
+    joint = factorized_joint(dag)
+    assert (freq._count(range(1, n + 1)) == 0).any()  # the count prefix has zero entries
+    waiting = {}  # per m: the sets not yet seen in a chunk
+    for pos in itertools.combinations(range(1, n + 1), k):
+        waiting.setdefault(max((p for p in pos if dag.cards[p - 1] > 1), default=0), []).append(pos)
+    sizes = []
+    for counts, exact in _cylinder_tables(freq, joint):
+        for sets in waiting.values():
+            cells = itertools.accumulate(math.prod(dag.cards[p - 1] for p in pos) for pos in sets)
+            run = list(itertools.takewhile(lambda c: c <= exact.size, cells))
+            if not run or run[-1] != exact.size:
+                continue
+            chunk = sets[: len(run)]
+            if counts.tobytes() == np.concatenate([freq._count(pos) for pos in chunk]).tobytes():
+                assert exact.tobytes() == np.concatenate([full_sum_marginal(joint, pos) for pos in chunk]).tobytes()
+                del sets[: len(chunk)]
+                sizes.append(len(chunk))
+                break
+        else:
+            raise AssertionError(f"a chunk of {exact.size} cells matches no run of sets")
+    assert not any(waiting.values())
+    assert min(sizes) == 1 and max(sizes) > 1
+
+
 @pytest.mark.parametrize("n", [12, 14])
 def test_max_frequency_deviation_peak_memory_is_bounded_by_the_chunk(n):
     # a fold call holds under 18 bytes for each of its _FOLD_ENTRIES prefix
-    # entries (see oracle._FOLD_ENTRIES). The sweep keeps, per m with a prefix
-    # below _SCATTER_ENTRIES entries, that prefix and the counts over it: two
-    # rows of 8 bytes over the prefixes, whose sizes at least double with m,
-    # so fewer than 2 * _SCATTER_ENTRIES entries in all. C(n, k) takes no
-    # part: 792 sets at n=12, 2,002 at n=14.
+    # entries (see oracle._FOLD_ENTRIES). The sweep reads one m at a time:
+    # its counts over 1..m take 8 bytes for each of at most 2**14 entries
+    # until only their nonzero entries and positions are kept, 16 bytes for
+    # each of at most 2,000, one per row: under 32 * 8192 bytes. C(n, k)
+    # takes no part: 792 sets at n=12, 2,002 at n=14.
     dag = random_dag(n, 2, 2, seed=n)
     freq = tuple_frequencies(sample(dag, 2_000, seed=1), 5)
     joint = factorized_joint(dag)
@@ -236,7 +272,7 @@ def test_max_frequency_deviation_peak_memory_is_bounded_by_the_chunk(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18 * _FOLD_ENTRIES + 32 * _SCATTER_ENTRIES
+    assert peak < 18 * _FOLD_ENTRIES + 32 * 8192
 
 
 def test_tuple_frequencies_peak_memory_per_row():

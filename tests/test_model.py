@@ -202,6 +202,13 @@ def test_random_dag_refuses_nan_and_infinite_reals(kwargs, name):
         random_dag(3, 1, 2, 0, **kwargs)
 
 
+@pytest.mark.parametrize("name, value", [("alpha", "1"), ("alpha", True), ("floor", "0.01"), ("floor", None)])
+def test_random_dag_refuses_non_numbers_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name}: expected a number, got"):
+        random_dag(3, 1, 2, 0, **{name: value})
+    assert random_dag(3, 1, 2, 0, **{name: np.float64(0.5) if name == "alpha" else 0}) is not None
+
+
 @pytest.mark.parametrize("card", [np.int64(2), np.uint8(2), 2])
 def test_random_dag_expands_an_integer_scalar_cards(card):
     assert random_dag(3, 1, card, 0) == random_dag(3, 1, (2, 2, 2), 0)

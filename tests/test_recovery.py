@@ -105,6 +105,20 @@ def test_attach_cpts_zero_mass_uniform_row():
     assert np.allclose(result.dag.cpts[1][0], [0.3, 0.7], atol=1e-12)
 
 
+def test_recovery_and_attach_refuse_bad_sizes_by_name(chain_joint):
+    provider = ExactMarginalProvider(chain_joint, 3)
+    decider = ProviderCiDecider(provider, EXACT_TOL)
+    with pytest.raises(ValueError, match="n: expected an integer, got 3.0"):
+        recover_structure(decider, 3.0, 1)
+    with pytest.raises(ValueError, match="delta: expected an integer, got True"):
+        recover_structure(decider, 3, True)
+    with pytest.raises(ValueError, match="skeleton has n=2 but the provider has 3 variables"):
+        attach_cpts(Skeleton(2, 1, ((), (1,))), provider)
+    with pytest.raises(ValueError, match="skeleton has n=4 but the provider has 3 variables"):
+        attach_cpts(Skeleton(4, 1, ((), (1,), (2,), (3,))), provider)
+    assert recover_structure(decider, np.int64(3), np.int64(1)) == recover_structure(decider, 3, 1)
+
+
 def test_recovered_structure_markov_on_random_instances():
     for seed in range(20):
         dag = random_dag(6, 2, (2,) * 6, seed=seed)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -313,3 +314,27 @@ def test_witness_rejects_bad_domain():
         shatter_witness(2, 3)
     with pytest.raises(ValueError):
         shatter_witness(0, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cylinder_count(4, True, 2), "k: expected an integer, got True"),
+    (lambda: cylinder_count(4.5, 2, 2), "n: expected an integer, got 4.5"),
+    (lambda: cylinder_count(4, 2, "2"), "d: expected an integer, got '2'"),
+    (lambda: vc_upper_bound(4, 2, 2.5), "d: expected an integer, got 2.5"),
+    (lambda: vc_lower_bound(4.0, 2), "n: expected an integer, got 4.0"),
+    (lambda: shatter_witness(8, 3.0), "k: expected an integer, got 3.0"),
+    (lambda: required_sample_size(4, 2.0, 2, 0.1, 0.1), "k: expected an integer, got 2.0"),
+    (lambda: risk_bound(math.nan, 10, 0.1), "h must be finite and > 0, got nan"),
+    (lambda: risk_bound("3", 10, 0.1), "h: expected a number, got '3'"),
+    (lambda: risk_bound(3.0, 10.5, 0.1), "l: expected an integer, got 10.5"),
+])
+def test_bounds_refuse_non_integer_sizes_by_name(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("k", [0, 2, 9])
+def test_verify_shattered_refuses_another_k(k):
+    with pytest.raises(ValueError, match="k must be the witness's k=3, got"):
+        verify_shattered(shatter_witness(8, 3), k)
+    assert verify_shattered(shatter_witness(8, 3), np.int64(3)).ok
