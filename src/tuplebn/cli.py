@@ -186,7 +186,7 @@ def cmd_bounds(args) -> int:
 def cmd_witness(args) -> int:
     pairs = _parse_value_pairs(args.value_pairs) if args.value_pairs else None
     witness = shatter_witness(args.n, args.k, pairs)
-    result = verify_shattered(witness, args.k)
+    result = verify_shattered(witness)
     if args.output:
         save_witness(witness, result, args.output)
     print(

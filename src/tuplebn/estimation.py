@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DiscreteDag, _index, _indices, _write_json
+from .model import DiscreteDag, _at_least, _index, _indices, _write_json
 from .oracle import _ProviderBase, _check_positions
 
 __all__ = [
@@ -201,9 +201,7 @@ class FrequencyTable:
 def sample(dag: DiscreteDag, l: int, seed) -> SampleMatrix:
     """Ancestral sampling: each row draws nodes in order, conditionally on
     the already-drawn parents. Deterministic for a given seed."""
-    l = _index(l, "l")
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
+    l = _at_least(l, "l", 1)
     rng = np.random.default_rng(seed)
     rows = np.zeros((l, dag.n), dtype=np.min_scalar_type(max(dag.cards) - 1), order="F")
     nodes = [

@@ -1,6 +1,8 @@
 """Ordered discrete Bayesian networks: representation, validation, exact joints,
 random instance generation, and the JSON file format, whose layout every
 JSON file the package writes or reads shares (``_write_json``, ``_read_json``).
+Every public number is read by one rule, ``_at_least`` for an integer range and
+``_real_in`` for a real one, so a bad value raises ValueError naming it.
 
 Nodes are indexed 1..n in the fixed variable ordering. Node j takes integer
 values 0..cards[j-1]-1; parent sets are subsets of {1,...,j-1} of size at most
@@ -35,6 +37,7 @@ __all__ = [
 JOINT_CAPACITY = 2**24
 CPT_ROW_TOL = 1e-12
 JOINT_SUM_TOL = 1e-10
+_BOOLS = frozenset((bool, np.bool_))
 
 
 class InvalidDagError(ValueError):
@@ -252,16 +255,8 @@ def random_dag(
     concentration ``alpha``, mixed with the uniform row so that every entry
     is at least ``floor``.
     """
-    n = _index(n, "n")
-    delta = _index(delta, "delta")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    alpha, floor = _real(alpha, "alpha"), _real(floor, "floor")
-    # each check is written so that a NaN fails it
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    n, delta = _at_least(n, "n", 1), _at_least(delta, "delta", 0)
+    alpha, floor = _real_in(alpha, "alpha"), _real(floor, "floor")
     if isinstance(cards, (int, np.integer)):
         cards = (cards,) * n
     cards = _indices(cards, "cards")
@@ -300,12 +295,20 @@ def _index(value, name: str, error=ValueError) -> int:
     """The one integer rule, which positions follow too: an int or a numpy
     integer passes; a bool, a float (even ``2.0``) or a string raises
     ``error`` naming ``name`` rather than being read as a number."""
-    if not isinstance(value, (bool, np.bool_)):
+    if type(value) not in _BOOLS:
         try:
             return operator.index(value)
         except TypeError:
             pass
     raise error(f"{name}: expected an integer, got {value!r}")
+
+
+def _at_least(value, name: str, low: int) -> int:
+    """``value`` read by ``_index``; below ``low``, ValueError naming ``name``."""
+    value = _index(value, name)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def _iterate(values, name: str, what: str, error=ValueError):
@@ -329,6 +332,17 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _real_in(value, name: str, high: float = math.inf, zero: bool = False) -> float:
+    """``value`` read by ``_real`` if it is above 0 (or at 0 when ``zero``)
+    and below ``high``; anything else, a NaN too, raises ValueError naming ``name``."""
+    value = _real(value, name)
+    if not (value >= 0 if zero else value > 0) or not value < high:
+        low = ">=" if zero else ">"
+        rule = f"finite and {low} 0" if high == math.inf else f"in {'[' if zero else '('}0,{high})"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return value
+
+
 def _cpt(table, node: int) -> np.ndarray:
     """``table`` as a read-only float64 matrix, a flat table being one row;
     anything but a rectangular table of int or float numbers (a bool, a
@@ -337,7 +351,7 @@ def _cpt(table, node: int) -> np.ndarray:
         a = np.asarray(table)
         # numpy reads a bool among numbers as 0 or 1, so a list is searched for one
         if a.dtype.kind not in "iuf" or not isinstance(table, np.ndarray) and any(
-            isinstance(v, (bool, np.bool_)) for v in np.asarray(table, dtype=object).flat
+            type(v) in _BOOLS for v in np.asarray(table, dtype=object).flat
         ):
             raise ValueError
     except (TypeError, ValueError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import JointTable, DiscreteDag, _index
+from .model import _BOOLS, JointTable, DiscreteDag, _at_least, _real_in
 
 __all__ = [
     "EXACT_TOL",
@@ -41,8 +41,6 @@ __all__ = [
 ]
 
 EXACT_TOL = 1e-9
-
-_BOOLS = frozenset((bool, np.bool_))
 
 # Prefix entries per call when the deviation sweep folds a chunk of kept
 # sets with _scatter_fold, each set repeating the prefix once; a larger
@@ -173,7 +171,8 @@ def dependence_statistic(provider, X, L, K, skip_below: float) -> float:
 
     A position outside 1..n, or one in two of X, L and K, raises ValueError
     naming the positions, also when X or L is empty and the statistic is
-    0.0 without a query."""
+    0.0 without a query. ``skip_below`` must be in [0, 1): at 1 every context is skipped."""
+    skip_below = _real_in(skip_below, "skip_below", 1, zero=True)
     X, L, K = (tuple(sorted(_integer_positions(g))) for g in (X, L, K))
     if set(X) & set(L) or set(X + L) & set(K):
         raise ValueError(f"index sets must be pairwise disjoint: {(X, L, K)}")
@@ -201,6 +200,7 @@ def is_markov_relative(joint: JointTable, dag: DiscreteDag, tol: float = EXACT_T
     entry under it is a term of that zero sum of non-negative values, so it
     is exactly 0 too and the two sides agree there.
     """
+    tol = _real_in(tol, "tol", zero=True)
     if dag.cards != joint.cards:
         raise ValueError(f"shape mismatch: dag cards {dag.cards} vs joint cards {joint.cards}")
     full = joint.array
@@ -256,9 +256,7 @@ class ExactMarginalProvider(_ProviderBase):
 
     def __init__(self, joint: JointTable, max_tuple_size: int):
         super().__init__()
-        self.max_tuple_size = _index(max_tuple_size, "max_tuple_size")
-        if self.max_tuple_size < 1:
-            raise ValueError(f"max_tuple_size must be >= 1, got {max_tuple_size}")
+        self.max_tuple_size = _at_least(max_tuple_size, "max_tuple_size", 1)
         self._joint = joint
         self.cards = joint.cards
 

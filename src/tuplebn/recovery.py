@@ -12,13 +12,12 @@ exactly the tuple budget the providers enforce.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Protocol
 
 import numpy as np
 
-from .model import DiscreteDag, JointTable, _index
+from .model import DiscreteDag, JointTable, _at_least, _real_in
 from .oracle import EXACT_TOL, ExactMarginalProvider, dependence_statistic
 
 __all__ = [
@@ -67,12 +66,11 @@ class ProviderCiDecider:
     """
 
     def __init__(self, provider, threshold: float):
-        if not 0 < threshold < math.inf:  # written so that a NaN fails it
-            raise ValueError(f"threshold must be finite and > 0, got {threshold}")
+        threshold = _real_in(threshold, "threshold")
         if threshold >= 1:
             raise ValueError(f"threshold must be in (0, 1), got {threshold}")
         self.provider = provider
-        self.threshold = float(threshold)
+        self.threshold = threshold
 
     def decide(self, X, L, K) -> bool:
         return dependence_statistic(self.provider, X, L, K, skip_below=self.threshold) <= self.threshold
@@ -118,8 +116,7 @@ def _empirical_threshold(epsilon: float) -> float:
 def _check_epsilon(epsilon: float) -> float:
     """``epsilon`` if the empirical decider accepts it: finite and in
     (0, 0.25). The CLI calls it before it reads any sample."""
-    if not 0 < epsilon < math.inf:  # written so that a NaN fails it
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    epsilon = _real_in(epsilon, "epsilon")
     if epsilon >= _EPSILON_LIMIT:
         raise ValueError(
             f"epsilon must be in (0, {_EPSILON_LIMIT}), so that the threshold 4*epsilon is below 1, got {epsilon}"
@@ -194,11 +191,7 @@ def recover_structure(decider: CiDecider, n: int, delta: int) -> tuple[Skeleton,
     (not necessarily the generating graph). Raises ModelViolationError when
     no candidate set passes for some node.
     """
-    n, delta = _index(n, "n"), _index(delta, "delta")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    n, delta = _at_least(n, "n", 1), _at_least(delta, "delta", 0)
     trace = RecoveryTrace()
     parents: list[tuple[int, ...]] = []
     for j in range(1, n + 1):

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import _index, _real, _write_json
+from .model import _BOOLS, _at_least, _index, _indices, _iterate, _real_in, _write_json
 
 __all__ = [
     "Certificate",
@@ -48,12 +48,16 @@ class CylinderCount(NamedTuple):
 
 def cylinder_count(n: int, k: int, d: int) -> CylinderCount:
     """Number of k-position cylinder events: exactly d^k * C(n,k), below (nd)^k."""
-    n, k, d = _index(n, "n"), _index(k, "k"), _index(d, "d")
+    (n, k), d = _k_of_n(n, k), _at_least(d, "d", 1)
+    return CylinderCount(d**k * math.comb(n, k), (n * d) ** k)
+
+
+def _k_of_n(n, k) -> tuple[int, int]:
+    """``n`` and ``k`` read by ``_index``; unless 1 <= k <= n, ValueError naming both."""
+    n, k = _index(n, "n"), _index(k, "k")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    return CylinderCount(d**k * math.comb(n, k), (n * d) ** k)
+    return n, k
 
 
 def vc_upper_bound(n: int, k: int, d: int, tight: bool = False) -> float:
@@ -61,6 +65,8 @@ def vc_upper_bound(n: int, k: int, d: int, tight: bool = False) -> float:
     exact, _ = cylinder_count(n, k, d)
     if n * d < 2:
         raise ValueError(f"need n*d >= 2, got n={n}, d={d}")
+    if type(tight) not in _BOOLS:
+        raise ValueError(f"tight must be a bool, got {tight!r}")
     if tight:
         return math.log2(exact)
     return k * math.log2(n * d)
@@ -69,9 +75,7 @@ def vc_upper_bound(n: int, k: int, d: int, tight: bool = False) -> float:
 def vc_lower_bound(n: int, k: int) -> int:
     """floor(log2(n-k+1)); attained by the shatter_witness construction,
     which additionally needs every position to offer two distinct values."""
-    n, k = _index(n, "n"), _index(k, "k")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    n, k = _k_of_n(n, k)
     return (n - k + 1).bit_length() - 1
 
 
@@ -87,13 +91,7 @@ def risk_bound(h: float, l: int, epsilon: float) -> RiskBound:
     Evaluated in log space; the raw value can dwarf float range for small l,
     so the exponential is only taken when it fits.
     """
-    h, l = _real(h, "h"), _index(l, "l")
-    if not 0 < h < math.inf:  # so that a NaN fails
-        raise ValueError(f"h must be finite and > 0, got {h}")
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
+    h, l, epsilon = _real_in(h, "h"), _at_least(l, "l", 1), _real_in(epsilon, "epsilon", 1)
     exponent = (h * (1.0 + math.log(2.0 * l / h)) / l - (epsilon - 1.0 / l) ** 2) * l
     log_value = math.log(4.0) + exponent
     value = math.exp(log_value) if log_value < 700.0 else math.inf
@@ -138,10 +136,7 @@ def required_sample_size(n: int, k: int, d: int, epsilon: float, delta_risk: flo
     only meaningful with eps - 1/l positive.
     """
     h = vc_upper_bound(n, k, d)
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
-    if not 0 < delta_risk < 1:
-        raise ValueError(f"delta_risk must be in (0,1), got {delta_risk}")
+    epsilon, delta_risk = _real_in(epsilon, "epsilon", 1), _real_in(delta_risk, "delta_risk", 1)
 
     def suff(l: int) -> bool:
         if epsilon * l <= 1.0:
@@ -180,17 +175,17 @@ def shatter_witness(n: int, k: int, value_pairs=None) -> ShatterWitness:
     Columns beyond the binary-word block are unconstrained by the argument
     below; they are zero-filled for determinism.
     """
-    n, k = _index(n, "n"), _index(k, "k")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    n, k = _k_of_n(n, k)
     if value_pairs is None:
         value_pairs = tuple((0, 1) for _ in range(n))
     else:
-        value_pairs = tuple((_index(a, "value_pairs"), _index(b, "value_pairs")) for a, b in value_pairs)
+        value_pairs = tuple(_indices(p, "value_pairs") for p in _iterate(value_pairs, "value_pairs", "a list of pairs"))
         if len(value_pairs) != n:
             raise ValueError(f"need {n} value pairs, got {len(value_pairs)}")
-        for j, (a, b) in enumerate(value_pairs, start=1):
-            if a == b:
+        for j, pair in enumerate(value_pairs, start=1):
+            if len(pair) != 2:
+                raise ValueError(f"value_pairs: expected a pair of integers, got {pair}")
+            if pair[0] == pair[1]:
                 raise ValueError(f"position {j} offers only one value; two are required")
     l_points = vc_lower_bound(n, k)
     matrix = []
@@ -224,7 +219,7 @@ class VerifyResult:
     failing_subset: tuple[int, ...] | None
 
 
-def verify_shattered(witness: ShatterWitness, k: int) -> VerifyResult:
+def verify_shattered(witness: ShatterWitness) -> VerifyResult:
     """Brute-force shattering check over all 2^l_points subsets.
 
     For each subset indicator s, the first column of the matrix equal to s
@@ -234,11 +229,8 @@ def verify_shattered(witness: ShatterWitness, k: int) -> VerifyResult:
 
     One pass over the columns maps each column vector (its first l_points
     entries) to the first column that holds it, so each subset finds its
-    column with one lookup instead of a scan. ``k`` other than the
-    witness's raises ValueError.
+    column with one lookup instead of a scan.
     """
-    if _index(k, "k") != witness.k:
-        raise ValueError(f"k must be the witness's k={witness.k}, got {k}")
     lp = witness.l_points
     # by index, not zip(*matrix): with l_points == 0 every column is ()
     first_column: dict[tuple[int, ...], int] = {}
@@ -250,7 +242,7 @@ def verify_shattered(witness: ShatterWitness, k: int) -> VerifyResult:
         column = first_column.get(s)
         if column is None:
             return VerifyResult(False, tuple(certs), s)
-        positions = tuple(range(1, k)) + (column,)
+        positions = tuple(range(1, witness.k)) + (column,)
         values = tuple(witness.value_pairs[p - 1][1] for p in positions)
         members = tuple(
             r

@@ -117,7 +117,7 @@ def test_criterion_3_shatter_witness_grid_and_corruptions(report):
     for k in range(2, 6):
         for n in range(k, 65):
             witness = shatter_witness(n, k)
-            result = verify_shattered(witness, k)
+            result = verify_shattered(witness)
             assert result.ok, f"witness n={n} k={k} failed verification"
             assert len(result.certificates) == 2 ** witness.l_points
             verified += 1
@@ -141,7 +141,7 @@ def test_criterion_3_shatter_witness_grid_and_corruptions(report):
                     witness, matrix=tuple(tuple(r) for r in rows)
                 )
                 attempted += 1
-                detected += not verify_shattered(corrupted, k).ok
+                detected += not verify_shattered(corrupted).ok
     report(
         3,
         verified == 246 and elapsed < 30.0 and attempted >= 50 and detected == attempted,

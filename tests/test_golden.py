@@ -160,7 +160,7 @@ def test_wide_card_samples_csv_digest(tmp_path):
 def test_witness_json_digest(tmp_path, n, k, value_pairs):
     w = shatter_witness(n, k, value_pairs)
     path = tmp_path / "witness.json"
-    save_witness(w, verify_shattered(w, k), path)
+    save_witness(w, verify_shattered(w), path)
     assert sha256(path.read_bytes()) == WITNESS_DIGESTS[n, k, value_pairs]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,15 @@ def test_empty_side_is_vacuously_independent(chain_joint):
     provider = ExactMarginalProvider(chain_joint, 3)
     assert dependence_statistic(provider, (), (), (), EXACT_TOL) == 0.0
     assert dependence_statistic(provider, (), (3,), (1, 2), EXACT_TOL) == 0.0
+    for skip_below, message in (
+        (np.nan, "skip_below must be in [0,1), got nan"),
+        (-1.0, "skip_below must be in [0,1), got -1.0"),
+        ("x", "skip_below: expected a number, got 'x'"),
+        (1.0, "skip_below must be in [0,1), got 1.0"),
+    ):
+        for X in ((), (1,)):  # refused before the empty side ends the query
+            with pytest.raises(ValueError, match=re.escape(message)):
+                dependence_statistic(provider, X, (3,), (2,), skip_below)
     assert provider.access_log.queries == 0
 
 
@@ -228,6 +238,13 @@ def test_is_markov_relative_true_and_false(chain_joint, chain_dag):
         [chain_dag.cpts[0], chain_dag.cpts[1], np.array([[0.5, 0.5], [0.5, 0.5]])],
     )
     assert not is_markov_relative(chain_joint, wrong)
+    for tol, message in (
+        (np.nan, "tol must be finite and >= 0, got nan"),
+        (-1.0, "tol must be finite and >= 0, got -1.0"),
+        ("x", "tol: expected a number, got 'x'"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            is_markov_relative(chain_joint, chain_dag, tol=tol)
 
 
 def test_is_markov_relative_superset_of_parents_still_compatible(chain_joint):

@@ -186,6 +186,11 @@ def test_decider_validates_threshold(chain_joint):
         ProviderCiDecider(provider, 0.0)
     with pytest.raises(ValueError):
         empirical_ci_decider(provider, -0.1)
+    for value in ("0.1", None):
+        with pytest.raises(ValueError, match=f"^threshold: expected a number, got {value!r}"):
+            ProviderCiDecider(provider, value)
+        with pytest.raises(ValueError, match=f"^epsilon: expected a number, got {value!r}"):
+            empirical_ci_decider(provider, value)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

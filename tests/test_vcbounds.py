@@ -161,7 +161,7 @@ def test_witness_trivial_and_distinct_rows():
     w = shatter_witness(4, 4)
     assert w.l_points == 0
     assert w.points == ()
-    result = verify_shattered(w, 4)
+    result = verify_shattered(w)
     assert result.ok and len(result.certificates) == 1
 
     w2 = shatter_witness(12, 3)
@@ -181,12 +181,22 @@ def test_witness_value_pairs():
 def test_witness_value_pairs_are_refused_not_truncated():
     with pytest.raises(ValueError, match="value_pairs: expected an integer, got 1.5"):
         shatter_witness(4, 2, [(0, 1.5), (0, 1), (0, 1), (0, 1)])
+    for item, message in (
+        ((0, 1, 2), "value_pairs: expected a pair of integers, got (0, 1, 2)"),
+        ((0,), "value_pairs: expected a pair of integers, got (0,)"),
+        (0, "value_pairs: expected a list of integers, got 0"),
+        (None, "value_pairs: expected a list of integers, got None"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            shatter_witness(4, 2, [item, (0, 1), (0, 1), (0, 1)])
+    with pytest.raises(ValueError, match="value_pairs: expected a list of pairs, got 5"):
+        shatter_witness(4, 2, 5)
     assert shatter_witness(4, 2, np.array([(0, 1)] * 4)) == shatter_witness(4, 2)
 
 
 def test_verify_shattered_worked_example():
     w = shatter_witness(6, 2)
-    result = verify_shattered(w, 2)
+    result = verify_shattered(w)
     assert result.ok
     assert len(result.certificates) == 4
     assert result.failing_subset is None
@@ -201,7 +211,7 @@ def test_verify_detects_corruption():
     corrupted_rows = [list(row) for row in w.matrix]
     corrupted_rows[0][block_col + 2] ^= 1
     corrupted = dataclasses.replace(w, matrix=tuple(tuple(r) for r in corrupted_rows))
-    result = verify_shattered(corrupted, 2)
+    result = verify_shattered(corrupted)
     assert not result.ok
     assert result.failing_subset is not None
 
@@ -245,7 +255,7 @@ def test_verify_shattered_matches_column_scan_on_grid():
     for k in (1, 2, 3):
         for n in range(k, 40):
             w = shatter_witness(n, k)
-            assert verify_shattered(w, k) == reference_verify(w, k), (n, k)
+            assert verify_shattered(w) == reference_verify(w, k), (n, k)
 
 
 W10 = shatter_witness(10, 1)  # l_points 3: word columns 1..8, zero columns 9 and 10
@@ -273,7 +283,7 @@ W10_K2 = shatter_witness(10, 2)
          "duplicate-column-stale-points", "missing-column"],
 )
 def test_verify_shattered_matches_column_scan(w, k, ok, check):
-    result = verify_shattered(w, k)
+    result = verify_shattered(w)
     assert result == reference_verify(w, k)
     assert result.ok == ok
     assert check is None or check(result)
@@ -282,12 +292,12 @@ def test_verify_shattered_matches_column_scan(w, k, ok, check):
 def test_witness_grid_small():
     for k in (1, 2, 3):
         for n in range(k, 20):
-            assert verify_shattered(shatter_witness(n, k), k).ok
+            assert verify_shattered(shatter_witness(n, k)).ok
 
 
 def test_witness_json_round_trip(tmp_path):
     w = shatter_witness(9, 3)
-    result = verify_shattered(w, 3)
+    result = verify_shattered(w)
     path = tmp_path / "wit.json"
     save_witness(w, result, path)
     # the witness JSON is an output only; read it back field by field
@@ -327,14 +337,19 @@ def test_witness_rejects_bad_domain():
     (lambda: risk_bound(math.nan, 10, 0.1), "h must be finite and > 0, got nan"),
     (lambda: risk_bound("3", 10, 0.1), "h: expected a number, got '3'"),
     (lambda: risk_bound(3.0, 10.5, 0.1), "l: expected an integer, got 10.5"),
+    (lambda: risk_bound(3.0, 10, "0.1"), "epsilon: expected a number, got '0.1'"),
+    (lambda: risk_bound(3.0, 10, None), "epsilon: expected a number, got None"),
+    (lambda: risk_bound(3.0, 10, True), "epsilon: expected a number, got True"),
+    (lambda: required_sample_size(8, 3, 2, "0.1", 0.05), "epsilon: expected a number, got '0.1'"),
+    (lambda: required_sample_size(8, 3, 2, None, 0.05), "epsilon: expected a number, got None"),
+    (lambda: required_sample_size(8, 3, 2, True, 0.05), "epsilon: expected a number, got True"),
+    (lambda: required_sample_size(8, 3, 2, 0.1, "0.1"), "delta_risk: expected a number, got '0.1'"),
+    (lambda: required_sample_size(8, 3, 2, 0.1, None), "delta_risk: expected a number, got None"),
+    (lambda: required_sample_size(8, 3, 2, 0.1, True), "delta_risk: expected a number, got True"),
+    (lambda: vc_upper_bound(4, 2, 2, tight="no"), "tight must be a bool, got 'no'"),
+    (lambda: vc_upper_bound(4, 2, 2, tight=1), "tight must be a bool, got 1"),
 ])
 def test_bounds_refuse_non_integer_sizes_by_name(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
-
-@pytest.mark.parametrize("k", [0, 2, 9])
-def test_verify_shattered_refuses_another_k(k):
-    with pytest.raises(ValueError, match="k must be the witness's k=3, got"):
-        verify_shattered(shatter_witness(8, 3), k)
-    assert verify_shattered(shatter_witness(8, 3), np.int64(3)).ok
