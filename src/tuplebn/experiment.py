@@ -24,11 +24,23 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .estimation import EmpiricalMarginalProvider, sample, tuple_frequencies
-from .model import _index, _indices, _read_json, _real, _require_object, _write_json, factorized_joint, random_dag
+from .model import (
+    _at_least,
+    _index,
+    _indices,
+    _read_json,
+    _real,
+    _real_in,
+    _require_object,
+    _write_json,
+    factorized_joint,
+    random_dag,
+)
 from .oracle import _FOLD_ENTRIES, _fold_index, _scatter_fold, is_markov_relative
 from .recovery import (
     _EPSILON_LIMIT,
@@ -69,13 +81,27 @@ _MARKOV_TOL = 1e-2
 _OPTIONAL = {"cards": None, "alpha": 1.0, "floor": 0.01, "markov_tol": _MARKOV_TOL}
 
 
+def _ruled(read, ok, rule):
+    """A reader of a field that no range reader covers: ``read``, and then a
+    ValueError naming the field unless ``ok`` holds of the value."""
+
+    def checked(value, name):
+        value = read(value, name)
+        if not ok(value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+        return value
+
+    return checked
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Checked experiment parameters; see from_dict for the file format.
 
-    The constructor is the one place a field is checked: integers by
-    ``model._index``, reals by ``model._real``, then each range, so that a
-    NaN fails it. A bad field raises ValueError naming it.
+    The constructor is the one place a field is checked, in the order of
+    the fields: a range of integers by ``model._at_least``, one of reals by
+    ``model._real_in``, and the other rules by ``_ruled``, so that a NaN
+    fails each. A bad field raises ValueError naming it.
     """
 
     n: int
@@ -92,24 +118,21 @@ class ExperimentConfig:
     markov_tol: float = _MARKOV_TOL
 
     def __post_init__(self):
-        for field, read, ok, rule in (
-            ("n", _index, lambda v: v >= 1, ">= 1"),
-            ("delta", _index, lambda v: v >= 0, ">= 0"),
-            ("cards", _indices, lambda v: len(v) == self.n and min(v) >= 1, "n values >= 1"),
-            ("alpha", _real, lambda v: 0 < v < math.inf, "finite and > 0"),
-            ("floor", _real, lambda v: v >= 0 and v * max(self.cards) < 1, ">= 0 and below 1/max(cards)"),
-            ("sample_sizes", _indices, lambda v: len(v) >= 1 and min(v) >= 1, "nonempty and >= 1"),
-            ("epsilon", _real, lambda v: 0 < v < _EPSILON_LIMIT, f"in (0, {_EPSILON_LIMIT})"),
-            ("delta_risk", _real, lambda v: 0 < v < 1, "in (0,1)"),
-            ("trials", _index, lambda v: v >= 1, ">= 1"),
-            ("seed", _index, lambda v: v >= 0, ">= 0"),
-            ("output_dir", lambda v, name: v, lambda v: isinstance(v, str), "a string"),
-            ("markov_tol", _real, lambda v: 0 < v < math.inf, "finite and > 0"),
+        for field, read in (
+            ("n", partial(_at_least, low=1)),
+            ("delta", partial(_at_least, low=0)),
+            ("cards", _ruled(_indices, lambda v: len(v) == self.n and min(v) >= 1, "n values >= 1")),
+            ("alpha", _real_in),
+            ("floor", _ruled(_real, lambda v: v >= 0 and v * max(self.cards) < 1, ">= 0 and below 1/max(cards)")),
+            ("sample_sizes", _ruled(_indices, lambda v: len(v) >= 1 and min(v) >= 1, "nonempty and >= 1")),
+            ("epsilon", _ruled(_real, lambda v: 0 < v < _EPSILON_LIMIT, f"in (0, {_EPSILON_LIMIT})")),
+            ("delta_risk", partial(_real_in, high=1)),
+            ("trials", partial(_at_least, low=1)),
+            ("seed", partial(_at_least, low=0)),
+            ("output_dir", _ruled(lambda v, name: v, lambda v: isinstance(v, str), "a string")),
+            ("markov_tol", _real_in),
         ):
-            value = read(getattr(self, field), f"config field {field!r}")
-            if not ok(value):
-                raise ValueError(f"config field {field!r} must be {rule}, got {value!r}")
-            object.__setattr__(self, field, value)
+            object.__setattr__(self, field, read(getattr(self, field), f"config field {field!r}"))
 
     @property
     def k(self) -> int:
@@ -212,7 +235,14 @@ def _cylinder_tables(freq, joint):
 
 
 def run_trial_cell(config: ExperimentConfig, trial: int, l_index: int) -> TrialReport:
-    """Run one grid cell: generate, sample, recover, validate."""
+    """Run one grid cell: generate, sample, recover, validate. ``trial``
+    must be below ``config.trials`` and ``l_index`` below the number of
+    sample sizes; anything else raises ValueError naming the argument."""
+    trial, l_index = _at_least(trial, "trial", 0), _at_least(l_index, "l_index", 0)
+    if trial >= config.trials:
+        raise ValueError(f"trial must be below config.trials = {config.trials}, got {trial}")
+    if l_index >= len(config.sample_sizes):
+        raise ValueError(f"l_index must be below len(config.sample_sizes) = {len(config.sample_sizes)}, got {l_index}")
     l = config.sample_sizes[l_index]
     state = np.random.SeedSequence([config.seed, trial, l_index]).generate_state(2, dtype=np.uint64)
     dag_seed, sample_seed = int(state[0]), int(state[1])

@@ -172,7 +172,16 @@ def dependence_statistic(provider, X, L, K, skip_below: float) -> float:
     A position outside 1..n, or one in two of X, L and K, raises ValueError
     naming the positions, also when X or L is empty and the statistic is
     0.0 without a query. ``skip_below`` must be in [0, 1): at 1 every context is skipped."""
-    skip_below = _real_in(skip_below, "skip_below", 1, zero=True)
+    return _statistic(provider, X, L, K, _real_in(skip_below, "skip_below", 1, zero=True))
+
+
+def _statistic(provider, X, L, K, skip_below: float) -> float:
+    """``dependence_statistic`` for a ``skip_below`` already checked, as a
+    decider's threshold is when it is made: X, L and K are read once here.
+
+    The sums and the max are numpy's add and maximum reductions, which
+    ``ndarray.sum`` and ``np.max`` call too, so the bits are theirs.
+    """
     X, L, K = (tuple(sorted(_integer_positions(g))) for g in (X, L, K))
     if set(X) & set(L) or set(X + L) & set(K):
         raise ValueError(f"index sets must be pairwise disjoint: {(X, L, K)}")
@@ -185,11 +194,13 @@ def dependence_statistic(provider, X, L, K, skip_below: float) -> float:
     ax = {p: i for i, p in enumerate(union)}
     x_axes = tuple(ax[p] for p in X)
     l_axes = tuple(ax[p] for p in L)
-    f_k = table.sum(axis=x_axes + l_axes, keepdims=True)
-    f_xk = table.sum(axis=l_axes, keepdims=True)
-    f_lk = table.sum(axis=x_axes, keepdims=True)
-    stat = np.abs(table * f_k - f_xk * f_lk)
-    return float(np.max(stat, where=f_k > skip_below, initial=0.0))
+    f_k = np.add.reduce(table, axis=x_axes + l_axes, keepdims=True)
+    f_xk = np.add.reduce(table, axis=l_axes, keepdims=True)
+    f_lk = np.add.reduce(table, axis=x_axes, keepdims=True)
+    stat = table * f_k
+    stat -= f_xk * f_lk
+    np.abs(stat, out=stat)
+    return float(np.maximum.reduce(stat, axis=None, where=f_k > skip_below, initial=0.0))
 
 
 def is_markov_relative(joint: JointTable, dag: DiscreteDag, tol: float = EXACT_TOL) -> bool:

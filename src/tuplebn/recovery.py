@@ -7,6 +7,14 @@ set L with 1 <= |L| <= m. The accepted K is then shrunk greedily: an element
 is dropped whenever the reduced set still passes the full battery. Every
 independence query touches at most 1 + 2m <= 2*delta + 1 positions, which is
 exactly the tuple budget the providers enforce.
+
+A battery tries the sizes of L in increasing order. Within one size it
+tries first the L's that made an earlier battery of the same node fail,
+most recent first, since those are the likeliest to fail again, and then
+the rest in lexicographic order. The trace records only each battery's
+outcome, the AND of its decisions, so the skeleton, the trace and the
+largest tuple read are those of the lexicographic order; only the number
+of decisions, and of tables read, changes.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Protocol
 import numpy as np
 
 from .model import DiscreteDag, JointTable, _at_least, _real_in
-from .oracle import EXACT_TOL, ExactMarginalProvider, dependence_statistic
+from .oracle import EXACT_TOL, ExactMarginalProvider, _statistic
 
 __all__ = [
     "AttachResult",
@@ -73,7 +81,8 @@ class ProviderCiDecider:
         self.threshold = threshold
 
     def decide(self, X, L, K) -> bool:
-        return dependence_statistic(self.provider, X, L, K, skip_below=self.threshold) <= self.threshold
+        # the threshold was checked when the decider was made
+        return _statistic(self.provider, X, L, K, self.threshold) <= self.threshold
 
 
 # the empirical threshold 4*epsilon must stay below 1 (see ProviderCiDecider)
@@ -157,17 +166,26 @@ class RecoveryTrace:
         return asdict(self)
 
 
-def _passes_battery(decider: CiDecider, j: int, cond: tuple[int, ...], m: int) -> bool:
-    """All (j independent-of L given cond) for disjoint predecessor L, |L| in 1..m."""
+def _passes_battery(decider: CiDecider, j: int, cond: tuple[int, ...], m: int, failed: list) -> bool:
+    """All (j independent-of L given cond) for disjoint predecessor L, |L| in 1..m.
+
+    The order is the module docstring's: by size, and within one size the
+    L's of ``failed`` first. An L that fails moves to the front of ``failed``.
+    """
     rest = tuple(p for p in range(1, j) if p not in cond)
     for size in range(1, m + 1):
-        for L in itertools.combinations(rest, size):
+        first = [L for L in failed if len(L) == size and not any(p in cond for p in L)]
+        tried = set(first)
+        for L in itertools.chain(first, (L for L in itertools.combinations(rest, size) if L not in tried)):
             if not decider.decide((j,), L, cond):
+                if L in tried:
+                    failed.remove(L)
+                failed.insert(0, L)
                 return False
     return True
 
 
-def _minimize(decider: CiDecider, j: int, accepted: tuple[int, ...], m: int):
+def _minimize(decider: CiDecider, j: int, accepted: tuple[int, ...], m: int, failed: list):
     current = list(accepted)
     steps: list[RemovalStep] = []
     changed = True
@@ -175,7 +193,7 @@ def _minimize(decider: CiDecider, j: int, accepted: tuple[int, ...], m: int):
         changed = False
         for c in sorted(current):
             reduced = tuple(p for p in current if p != c)
-            kept = _passes_battery(decider, j, reduced, m)
+            kept = _passes_battery(decider, j, reduced, m, failed)
             steps.append(RemovalStep(c, kept))
             if kept:
                 current = list(reduced)
@@ -197,17 +215,18 @@ def recover_structure(decider: CiDecider, n: int, delta: int) -> tuple[Skeleton,
     for j in range(1, n + 1):
         m = min(j - 1, delta)
         node_trace = NodeTrace(node=j, m=m)
+        failed: list[tuple[int, ...]] = []  # the L's that failed a battery of j, most recent first
         accepted = None
         for K in itertools.combinations(range(1, j), m):
             node_trace.tested.append(K)
-            if _passes_battery(decider, j, K, m):
+            if _passes_battery(decider, j, K, m, failed):
                 accepted = K
                 break
         if accepted is None:
             trace.nodes.append(node_trace)
             raise ModelViolationError(j, f"all {len(node_trace.tested)} candidate sets of size {m} failed")
         node_trace.accepted = accepted
-        final, steps = _minimize(decider, j, accepted, m)
+        final, steps = _minimize(decider, j, accepted, m, failed)
         node_trace.removals = steps
         node_trace.parents = final
         trace.nodes.append(node_trace)

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tuplebn
@@ -403,6 +404,32 @@ def test_summarize_skips_cells_without_a_deviation():
     assert entry["max_freq_dev_mean"] == pytest.approx(0.15)
     assert entry["freq_dev_exceed_rate"] == 0.5
     assert entry["outcomes"]["error"] == 1
+
+
+@pytest.mark.parametrize("trial, l_index, message", [
+    (True, 0, "trial: expected an integer, got True"),
+    (1.0, 0, "trial: expected an integer, got 1.0"),
+    (-1, 0, "trial must be >= 0, got -1"),
+    (3, 0, "trial must be below config.trials = 3, got 3"),
+    (7, 0, "trial must be below config.trials = 3, got 7"),
+    (0, True, "l_index: expected an integer, got True"),
+    (0, 1.0, "l_index: expected an integer, got 1.0"),
+    (0, -1, "l_index must be >= 0, got -1"),
+    (0, 2, "l_index must be below len(config.sample_sizes) = 2, got 2"),
+    (0, 5, "l_index must be below len(config.sample_sizes) = 2, got 5"),
+])
+def test_trial_cell_refuses_a_cell_outside_the_grid(trial, l_index, message):
+    config = ExperimentConfig.from_dict({
+        "n": 3, "delta": 1, "d": 2, "sample_sizes": [100, 200], "epsilon": 0.2, "delta_risk": 0.05,
+        "trials": 3, "seed": 1, "output_dir": "out",
+    })
+    with pytest.raises(ValueError) as exc:
+        experiment.run_trial_cell(config, trial, l_index)
+    assert str(exc.value) == message
+    # the last cell of the grid runs, numpy integers being integers
+    last = experiment.run_trial_cell(config, np.int64(2), np.uint8(1))
+    assert (last.trial, last.l_index, last.l) == (2, 1, 200)
+    assert type(last.trial) is int and type(last.l_index) is int
 
 
 def test_experiment_rejects_unknown_config_key(tmp_path, capsys):

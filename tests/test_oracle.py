@@ -7,6 +7,7 @@ import pytest
 from tuplebn import (
     EXACT_TOL,
     DiscreteDag,
+    EmpiricalMarginalProvider,
     ExactMarginalProvider,
     InvalidDagError,
     JointTable,
@@ -17,6 +18,8 @@ from tuplebn import (
     is_markov_relative,
     marginal,
     random_dag,
+    sample,
+    tuple_frequencies,
 )
 from tuplebn.oracle import _fold_index, _scatter_fold
 
@@ -192,6 +195,73 @@ def test_empty_side_is_vacuously_independent(chain_joint):
         for X in ((), (1,)):  # refused before the empty side ends the query
             with pytest.raises(ValueError, match=re.escape(message)):
                 dependence_statistic(provider, X, (3,), (2,), skip_below)
+    assert provider.access_log.queries == 0
+
+
+def old_statistic(provider, X, L, K, skip_below):
+    """Reference: the statistic by ``ndarray.sum`` and ``np.max``, as it was
+    first written. dependence_statistic must give it bit for bit."""
+    if not X or not L:
+        return 0.0
+    union = tuple(sorted(X + L + K))
+    table = provider.table(union).reshape(tuple(provider.cards[p - 1] for p in union))
+    ax = {p: i for i, p in enumerate(union)}
+    x_axes = tuple(ax[p] for p in X)
+    l_axes = tuple(ax[p] for p in L)
+    f_k = table.sum(axis=x_axes + l_axes, keepdims=True)
+    f_xk = table.sum(axis=l_axes, keepdims=True)
+    f_lk = table.sum(axis=x_axes, keepdims=True)
+    stat = np.abs(table * f_k - f_xk * f_lk)
+    return float(np.max(stat, where=f_k > skip_below, initial=0.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_statistic_has_the_bits_of_the_sum_and_max_formula(seed):
+    # every split of 5 positions into X, L, K and the unqueried, on a random
+    # joint with zero cells and on the frequencies of a sample
+    rng = np.random.default_rng(seed)
+    cards = tuple(int(c) for c in rng.integers(1, 4, size=5))
+    probs = rng.random(np.prod(cards)) * (rng.random(np.prod(cards)) < 0.7)
+    probs[0] += 0.01
+    frequencies = tuple_frequencies(sample(random_dag(5, 4, cards, seed=seed), 500, seed=seed), 5)
+    joint = JointTable(cards, probs / probs.sum())
+    for provider in (ExactMarginalProvider(joint, 5), EmpiricalMarginalProvider(frequencies)):
+        for groups in itertools.product(range(4), repeat=5):
+            X, L, K = (tuple(p for p, g in enumerate(groups, 1) if g == side) for side in range(3))
+            for skip_below in (0.0, EXACT_TOL, 0.02):
+                got = dependence_statistic(provider, X, L, K, skip_below)
+                want = old_statistic(provider, X, L, K, skip_below)
+                assert type(got) is float and got.hex() == want.hex(), (X, L, K, skip_below)
+            decider = ProviderCiDecider(provider, 0.02)
+            assert decider.decide(X, L, K) == (old_statistic(provider, X, L, K, 0.02) <= 0.02)
+
+
+def test_a_context_of_mass_equal_to_the_skip_level_is_left_out(xor_joint):
+    # given either value of X2, of mass 1/2, X3 is X1 or its negation
+    provider = ExactMarginalProvider(xor_joint, 3)
+    assert dependence_statistic(provider, (1,), (3,), (2,), 0.5) == 0.0
+    assert dependence_statistic(provider, (1,), (3,), (2,), 0.4375) == 0.0625
+    assert ProviderCiDecider(provider, 0.5).decide((1,), (3,), (2,))
+    assert not ProviderCiDecider(provider, 0.0625 - EXACT_TOL).decide((1,), (3,), (2,))
+
+
+@pytest.mark.parametrize("X, L, K, message", [
+    ((1,), (1,), (), "index sets must be pairwise disjoint: ((1,), (1,), ())"),
+    ((1,), (2,), (2, 3), "index sets must be pairwise disjoint: ((1,), (2,), (2, 3))"),
+    ((1, 1), (2,), (), "positions must be sorted and distinct: (1, 1, 2)"),
+    ((1,), (2,), (3, 3), "positions must be sorted and distinct: (1, 2, 3, 3)"),
+    ((1, 1), (), (), "positions must be sorted and distinct: (1, 1)"),
+    ((True,), (2,), (), "positions must be integers, got (True,)"),
+    ((1,), (2.0,), (), "positions must be integers, got (2.0,)"),
+    ((1,), (2,), (3.5,), "positions must be integers, got (3.5,)"),
+])
+def test_statistic_and_decider_refuse_bad_sets_alike(chain_joint, X, L, K, message):
+    provider = ExactMarginalProvider(chain_joint, 3)
+    for query in (lambda: dependence_statistic(provider, X, L, K, EXACT_TOL),
+                  lambda: ProviderCiDecider(provider, EXACT_TOL).decide(X, L, K)):
+        with pytest.raises(ValueError) as exc:
+            query()
+        assert str(exc.value) == message
     assert provider.access_log.queries == 0
 
 

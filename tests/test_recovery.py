@@ -2,10 +2,11 @@ import io
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tuplebn import (
@@ -27,7 +28,8 @@ from tuplebn import (
     sample,
     tuple_frequencies,
 )
-from tuplebn.recovery import RemovalStep
+from tuplebn import recovery
+from tuplebn.recovery import NodeTrace, RecoveryTrace, RemovalStep, _usable_tuple_size
 
 
 def test_chain_recovery(chain_joint):
@@ -262,3 +264,140 @@ def test_exact_recovery_beyond_dirichlet_networks(dag):
     skeleton, _ = recover_structure(decider, dag.n, dag.delta)
     rebuilt = attach_cpts(skeleton, decider.provider).dag
     assert is_markov_relative(joint, rebuilt, tol=1e-9)
+
+
+def lexicographic_recovery(decider, n, delta):
+    """The search with every battery in lexicographic order, sizes first:
+    the skeleton and trace dict, or the text of the ModelViolationError,
+    that ``recover_structure`` must give too."""
+
+    def passes(j, cond, m):
+        decider.start()
+        rest = [p for p in range(1, j) if p not in cond]
+        sets = (L for size in range(1, m + 1) for L in itertools.combinations(rest, size))
+        return all(decider.decide((j,), L, cond) for L in sets)
+
+    trace, parents = RecoveryTrace(), []
+    for j in range(1, n + 1):
+        m = min(j - 1, delta)
+        node = NodeTrace(node=j, m=m)
+        for K in itertools.combinations(range(1, j), m):
+            node.tested.append(K)
+            if passes(j, K, m):
+                node.accepted = K
+                break
+        else:
+            return str(ModelViolationError(j, f"all {len(node.tested)} candidate sets of size {m} failed"))
+        current, changed = list(node.accepted), True
+        while changed:
+            changed = False
+            for c in sorted(current):
+                reduced = tuple(p for p in current if p != c)
+                kept = passes(j, reduced, m)
+                node.removals.append(RemovalStep(c, kept))
+                if kept:
+                    current, changed = list(reduced), True
+        node.parents = tuple(sorted(current))
+        trace.nodes.append(node)
+        parents.append(node.parents)
+    return Skeleton(n, delta, tuple(parents)), trace.to_dict()
+
+
+def recovery_outcome(decider, n, delta):
+    try:
+        skeleton, trace = recover_structure(decider, n, delta)
+    except ModelViolationError as exc:
+        return str(exc)
+    return skeleton, trace.to_dict()
+
+
+class DecisionLog:
+    """A decider that passes each query on, counts them, and keeps, for
+    each battery opened by ``start``, the size of the largest L it was
+    asked about."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.provider = inner.provider
+        self.calls = 0
+        self.largest = [0]
+
+    def start(self):
+        self.largest.append(0)
+
+    def decide(self, X, L, K):
+        self.calls += 1
+        self.largest[-1] = max(self.largest[-1], len(L))
+        return self.inner.decide(X, L, K)
+
+
+def paired_deciders(dag, delta, empirical, epsilon=0.01, l=2000, seed=0):
+    """Two deciders of one kind over the same data, each with its own provider."""
+    if not empirical:
+        joint = factorized_joint(dag)
+        return [exact_ci_decider(joint, delta) for _ in range(2)]
+    freq = tuple_frequencies(sample(dag, l, seed), _usable_tuple_size(delta, dag.n))
+    return [empirical_ci_decider(EmpiricalMarginalProvider(freq), epsilon) for _ in range(2)]
+
+
+@st.composite
+def order_cases(draw):
+    """A network and the in-degree bound to recover it at. A random_dag of
+    in-degree delta + 1 often leaves no set of size delta that passes, so
+    the ModelViolationError path runs too; a stress network's parity nodes
+    make batteries that fail only at a pair of L."""
+    if draw(st.booleans()):
+        dag = draw(stress_networks())
+        return dag, dag.delta
+    n, delta = draw(st.integers(1, 8)), draw(st.integers(1, 2))
+    d = draw(st.sampled_from((2, 3, (2, 3))))
+    cards = tuple(d[j % 2] for j in range(n)) if isinstance(d, tuple) else d
+    return random_dag(n, delta + draw(st.booleans()), cards, draw(st.integers(0, 2**32 - 1))), delta
+
+
+# X6 = X4 xor X5, X4 a noisy copy of X2: a battery of node 6 fails at the
+# pair (2, 5) and a later one, given X4, at the single X5, so a search that
+# tried a remembered pair before the singles would read a larger tuple
+PAIR_THEN_SINGLE = DiscreteDag(6, (2,) * 6, 2, ((), (), (), (2,), (), (4, 5)), [
+    *[np.array([[0.5, 0.5]])] * 3,
+    np.array([[0.9, 0.1], [0.1, 0.9]]),
+    np.array([[0.5, 0.5]]),
+    np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=order_cases(), empirical=st.booleans(), epsilon=st.sampled_from((0.002, 0.01, 0.03)))
+@example(case=(PAIR_THEN_SINGLE, 2), empirical=False, epsilon=0.01)
+def test_failure_first_order_searches_as_the_lexicographic_order(case, empirical, epsilon):
+    dag, delta = case
+    n = dag.n
+    ordered, lexicographic = map(DecisionLog, paired_deciders(dag, delta, empirical, epsilon))
+    battery = recovery._passes_battery
+
+    def logged(decider, *args):
+        decider.start()
+        return battery(decider, *args)
+
+    with mock.patch.object(recovery, "_passes_battery", logged):
+        outcome = recovery_outcome(ordered, n, delta)
+    assert outcome == lexicographic_recovery(lexicographic, n, delta)
+    assert ordered.provider.access_log.max_size == lexicographic.provider.access_log.max_size
+    # each battery reads the sizes of L in order, so its largest tuple is the same
+    assert ordered.largest == lexicographic.largest
+
+
+@pytest.mark.parametrize("empirical", [False, True])
+@pytest.mark.parametrize("source_delta, violation", [(2, False), (3, True)])
+def test_recoveries_in_one_process_make_the_same_decisions(empirical, source_delta, violation):
+    # the failures a search tries first are kept for one node of one call,
+    # so a second call with the same decider repeats the first one
+    dag = random_dag(8, source_delta, 2, seed=0)
+    decider = DecisionLog(paired_deciders(dag, 2, empirical, epsilon=0.002, l=20_000)[0])
+    runs = []
+    for _ in range(2):
+        before = decider.calls
+        outcome = recovery_outcome(decider, 8, 2)
+        runs.append((outcome, decider.calls - before))
+    assert runs[0] == runs[1]
+    assert isinstance(runs[0][0], str) == violation
