@@ -374,19 +374,21 @@ def _row_of(records, at, first_row) -> int:
     return first_row + 1 + int(np.count_nonzero(records[:at] == _NL))
 
 
-def _widest_digit_run(records, first_row) -> int:
-    """Length of the longest run of digit bytes in ``records``; a run of
-    more than ``_MAX_DIGITS`` raises, naming its row."""
+def _widest_digit_run(records, first_row) -> tuple[int, np.ndarray]:
+    """Length of the longest run of digit bytes in ``records``, and a mask
+    whose True bytes start the runs of that length; a run of more than
+    ``_MAX_DIGITS`` raises, naming its row."""
     digit = (records - _ZERO) <= 9  # uint8 wraps below '0'
-    run, width = digit, 0
+    widest = run = digit
+    width = 0
     while run.any():  # some run of width + 1 digits
         width += 1
         if width > _MAX_DIGITS:
             raise ValueError(
                 f"row {_row_of(records, int(np.argmax(run)), first_row)}: a value of more than {_MAX_DIGITS} digits"
             )
-        run = run[:-1] & digit[width:]
-    return width
+        widest, run = run, run[:-1] & digit[width:]
+    return width, widest
 
 
 def _block_values(records, n, width, dtype, first_row) -> np.ndarray:
@@ -395,9 +397,7 @@ def _block_values(records, n, width, dtype, first_row) -> np.ndarray:
 
     Each field ends on a ``,`` or ``\\n`` byte; once every byte is a digit
     or one of those and no field is empty, the byte before each separator
-    is its field's last digit. The values are then built by Horner's rule,
-    most significant digit first, a digit position at a time; a position
-    before a field's first digit adds 0.
+    is its field's last digit, and ``_digit_values`` builds the values.
     """
     nl = records == _NL
     sep = nl | (records == _COMMA)
@@ -417,16 +417,47 @@ def _block_values(records, n, width, dtype, first_row) -> np.ndarray:
         fields = np.diff(np.flatnonzero(nl[last + 1]), prepend=-1)
         r = int(np.argmax(fields != n))
         raise ValueError(f"row {first_row + r + 1}: {fields[r]} columns under a {n}-column header")
+    widths = np.diff(last, prepend=-2) - 1 if width > 1 else None
+    return _digit_values(records, last, widths, width, dtype).reshape(m, n)
+
+
+def _largest_wide_value(records, width, widest) -> int:
+    """The largest value of a run of 3 or more digits in ``records``, whose
+    widest runs have ``width`` digits and start where ``widest`` is True; in
+    a valid block these runs are the fields that may not fit a byte.
+
+    The greatest string among the widest runs is found a digit at a time;
+    unless it starts with 0, it holds the largest value. If every widest
+    run starts with 0, each run of 3 or more digits is read instead.
+    """
+    at = np.flatnonzero(widest)
+    for i in range(width):
+        digits = records[at + i]
+        at = at[digits == digits.max()]
+    if records[at[0]] != _ZERO:
+        return int(bytes(records[at[0] : at[0] + width]))
+    digit = (records - _ZERO) <= 9  # uint8 wraps below '0'
+    three = digit[:-2] & digit[1:-1] & digit[2:]  # digits at i, i+1 and i+2
+    first = three.copy()
+    first[1:] &= ~digit[:-3]
+    last = np.flatnonzero(three[:-1] & ~digit[3:]) + 2  # records ends on a newline
+    widths = last - np.flatnonzero(first) + 1
+    return int(_digit_values(records, last, widths, width, np.uint64).max())
+
+
+def _digit_values(records, last, widths, width, dtype) -> np.ndarray:
+    """The numbers of ``widths`` digits (at most ``width``) whose last
+    digits sit at ``last`` in ``records``, in ``dtype``, built by Horner's
+    rule a digit position at a time, most significant first; a position
+    before a number's first digit adds 0."""
     values = np.zeros(last.size, dtype=dtype)
-    if width > 1:
-        widths = np.diff(last, prepend=-2) - 1
     for i in range(width - 1, -1, -1):
         digits = records[last - i] - _ZERO
         if i:
             digits[widths <= i] = 0
         values *= 10
         values += digits
-    return values.reshape(m, n)
+    return values
 
 
 def load_samples(path, cards=None) -> SampleMatrix:
@@ -436,12 +467,14 @@ def load_samples(path, cards=None) -> SampleMatrix:
 
     The body is read twice in ``_PARSE_BLOCK``-byte blocks: once to count
     the records and find the widest field and the largest value, once to
-    parse each block into its rows of a preallocated column-major array.
-    That array's dtype is the smallest unsigned one that holds the largest
-    value, so ``SampleMatrix`` copies it only when ``cards`` asks for a
-    wider one. Only a block with a field of 3 or more digits is parsed in
-    the first pass: every value of 2 digits fits a byte. No other temporary
-    grows with l.
+    check and parse each block into its rows of a preallocated column-major
+    array. That array's dtype is the smallest unsigned one that holds the
+    largest value, so ``SampleMatrix`` copies it only when ``cards`` asks
+    for a wider one. The first pass reads only the fields of 3 or more
+    digits, since every value of 2 digits fits a byte, and refuses only a
+    field of more than ``_MAX_DIGITS`` digits; any other bad record is
+    found by the second pass, so the first bad block in the file is the one
+    named. No other temporary grows with l.
     """
     try:
         with open(path, "rb") as f:
@@ -454,9 +487,9 @@ def load_samples(path, cards=None) -> SampleMatrix:
             l = width = top = 0
             for block in _line_blocks(f):
                 records = _records(block)
-                block_width = _widest_digit_run(records, l)
+                block_width, widest = _widest_digit_run(records, l)
                 if block_width > 2:  # a value of 3 or more digits may not fit a byte
-                    top = max(top, int(_block_values(records, n, block_width, np.uint64, l).max()))
+                    top = max(top, _largest_wide_value(records, block_width, widest))
                 width = max(width, block_width)
                 l += int(np.count_nonzero(records == _NL))
             dtype = np.min_scalar_type(top)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -383,17 +384,101 @@ def dag_from_dict(data: dict) -> DiscreteDag:
     return DiscreteDag(**{key: data[key] for key in _DAG_FIELDS})
 
 
+def _json_pieces(data):
+    """The one JSON layout of ``data``, ``json.dumps(data, indent=2)`` and a
+    final newline byte for byte, as an iterator of str pieces. Tuples are
+    written as lists.
+
+    ``data`` is encoded here, before the iterator is returned, by the C
+    encoder into compact ASCII text, so a value json cannot encode raises
+    its TypeError or ValueError before anything is written. That text is
+    held whole (0.22 MB of the 1.0 MB shatter witness at n=2048, k=3), and
+    ``_indented`` lays it out a ``_LAYOUT_BLOCK`` at a time, with under 1 MiB
+    of temporaries for the witness; the encoder's own peak, while it joins
+    its chunks, is about 3 MiB there.
+    """
+    return _indented(json.dumps(data, separators=(",", ":")).encode())
+
+
 def _dump_json(data, f) -> None:
-    """``data`` to the open text file ``f`` in the one JSON layout: a 2-space
-    indent and a final newline. ``json.dump`` streams its chunks, so a large
-    document is never held as one string. Tuples are written as lists."""
-    json.dump(data, f, indent=2)
-    f.write("\n")
+    """``data`` to the open text file ``f`` in the one JSON layout."""
+    f.writelines(_json_pieces(data))
 
 
 def _write_json(data, path) -> None:
+    """``data`` to ``path`` in the one JSON layout; a value json cannot
+    encode raises before the file is opened, so an old file keeps its bytes."""
+    pieces = _json_pieces(data)
     with open(path, "w") as f:
-        _dump_json(data, f)
+        f.writelines(pieces)
+
+
+_LAYOUT_BLOCK = 1 << 14  # compact text bytes laid out at a time
+_OPEN, _CLOSE, _COLON, _QUOTE = 1, 2, 4, 5
+# the class of each byte of compact JSON text: 1 for [ and {, 2 for ] and },
+# 3 for a comma, 4 for a colon, 5 for a quote and 0 for any other byte
+_JSON_CLASS = np.zeros(256, dtype=np.uint8)
+_JSON_CLASS[np.frombuffer(b'[{]},:"', dtype=np.uint8)] = (1, 1, 2, 2, 3, 4, 5)
+_JSON_STEP = np.array([0, 1, -1, 0, 0, 0], dtype=np.int32)  # depth change per class
+_ESCAPED = re.compile(rb'\\[\\"]')
+
+
+def _indented(text: bytes):
+    """The compact ASCII JSON ``text`` laid out as ``json.dumps(indent=2)``
+    lays it out, then a newline, as str pieces of about ``_LAYOUT_BLOCK``
+    bytes of ``text`` each.
+
+    A structural byte outside every string (an even number of unescaped
+    quotes before it) takes a break: a newline and two spaces per level of
+    depth after an opening bracket and a comma and before a closing
+    bracket, one space after a colon. An empty ``[]`` or ``{}`` takes none.
+    The depth after each structural byte is a running sum over them.
+    """
+    # with each \\ and \" blanked, every quote left opens or closes a string
+    scan = _ESCAPED.sub(b"__", text) if b"\\" in text else text
+    raw = np.frombuffer(text, dtype=np.uint8)
+    classes = _JSON_CLASS[np.frombuffer(scan, dtype=np.uint8)]
+    size, start, depth, in_string = len(text), 0, 0, False
+    while start < size:
+        # no break falls on a cut: the byte before it is none of [{,: and
+        # the byte at it neither ] nor }
+        stop = min(start + _LAYOUT_BLOCK, size)
+        while stop < size and (scan[stop - 1] in b"[{,:" or scan[stop] in b"]}"):
+            stop += 1
+        block = classes[start:stop]
+        at = np.flatnonzero(block)
+        kind = block[at]
+        quote = kind == _QUOTE
+        if in_string or quote.any():
+            inside = np.logical_xor.accumulate(quote) ^ in_string
+            if inside.size:
+                in_string = bool(inside[-1])
+            keep = ~(quote | inside)
+            at, kind = at[keep], kind[keep]
+        level = np.cumsum(_JSON_STEP[kind], dtype=np.int32)
+        level += depth
+        if level.size:
+            depth = int(level[-1])
+        opens = np.flatnonzero(kind == _OPEN)
+        empty = opens[block[at[opens] + 1] == _CLOSE]  # its close is the next token
+        brk = np.ones(kind.size, dtype=bool)
+        brk[empty] = brk[empty + 1] = False
+        at, kind, level = at[brk], kind[brk], level[brk]
+        colon = kind == _COLON
+        where = at + (kind != _CLOSE)  # a break goes after its byte, or before a close
+        # the output is runs of text, newlines and spaces: a run of text
+        # bytes, marked 0, then each break's newline and spaces, in turn
+        counts = np.empty(3 * where.size + 1, dtype=np.intp)
+        counts[0::3] = np.diff(where, prepend=0, append=stop - start)
+        counts[1::3] = ~colon
+        counts[2::3] = np.where(colon, 1, 2 * level)
+        fill = np.zeros(counts.size, dtype=np.uint8)
+        fill[1::3], fill[2::3] = ord("\n"), ord(" ")
+        out = np.repeat(fill, counts)
+        out[out == 0] = raw[start:stop]  # JSON text holds no 0 byte
+        yield out.tobytes().decode("ascii")
+        start = stop
+    yield "\n"
 
 
 def _read_json(path):

@@ -368,6 +368,37 @@ def test_load_samples_reads_the_dtype_from_the_file_not_from_cards(tmp_path):
         load_samples(path, cards=(45,))
 
 
+@pytest.mark.parametrize(
+    "body, dtype",
+    [
+        ("255,0\n", np.uint8),
+        ("256,0\n", np.uint16),
+        ("0255,1\n", np.uint8),
+        ("007,12\n", np.uint8),
+        # every widest field starts with 0, and a narrower one holds the most
+        ("0001,256\n", np.uint16),
+        ("65535,0\n", np.uint16),
+        ("65536,00065535\n", np.uint32),
+    ],
+)
+def test_load_samples_reads_the_largest_value_from_the_wide_fields(tmp_path, body, dtype):
+    path = tmp_path / "rows.csv"
+    path.write_text("x1,x2\n1,2\n" + body)
+    loaded = load_samples(path)
+    rows = [[1, 2], [int(v) for v in body.split(",")]]
+    assert loaded.rows.dtype == dtype and loaded == SampleMatrix(np.max(rows, axis=0) + 1, rows)
+
+
+def test_load_samples_names_the_first_bad_block(tmp_path):
+    # the first pass reads no block in full, so a bad record of a later
+    # block of 3-digit fields is not reported before an earlier one
+    narrow = "1,2\n" * (_PARSE_BLOCK // 4)
+    path = tmp_path / "rows.csv"
+    path.write_text("x1,x2\n1,2\n1,,2\n" + narrow + "300,1\n300,x\n")
+    with pytest.raises(InvalidSamplesError, match="rows.csv: row 2: empty field"):
+        load_samples(path)
+
+
 def wide_samples(l, seed=0):
     cards = (1000, 7, 300, 1, 12)
     rows = np.random.default_rng(seed).integers(0, cards, size=(l, len(cards)))
