@@ -374,21 +374,19 @@ def _row_of(records, at, first_row) -> int:
     return first_row + 1 + int(np.count_nonzero(records[:at] == _NL))
 
 
-def _widest_digit_run(records, first_row) -> tuple[int, np.ndarray]:
-    """Length of the longest run of digit bytes in ``records``, and a mask
-    whose True bytes start the runs of that length; a run of more than
-    ``_MAX_DIGITS`` raises, naming its row."""
-    digit = (records - _ZERO) <= 9  # uint8 wraps below '0'
-    widest = run = digit
-    width = 0
+def _widest_digit_run(records, digit, first_row) -> int:
+    """Length of the longest run of digit bytes in ``records``, whose digit
+    bytes are True in ``digit``; a run of more than ``_MAX_DIGITS`` raises,
+    naming its row."""
+    run, width = digit, 0
     while run.any():  # some run of width + 1 digits
         width += 1
         if width > _MAX_DIGITS:
             raise ValueError(
                 f"row {_row_of(records, int(np.argmax(run)), first_row)}: a value of more than {_MAX_DIGITS} digits"
             )
-        widest, run = run, run[:-1] & digit[width:]
-    return width, widest
+        run = run[:-1] & digit[width:]
+    return width
 
 
 def _block_values(records, n, width, dtype, first_row) -> np.ndarray:
@@ -421,22 +419,11 @@ def _block_values(records, n, width, dtype, first_row) -> np.ndarray:
     return _digit_values(records, last, widths, width, dtype).reshape(m, n)
 
 
-def _largest_wide_value(records, width, widest) -> int:
+def _largest_wide_value(records, digit, width) -> int:
     """The largest value of a run of 3 or more digits in ``records``, whose
-    widest runs have ``width`` digits and start where ``widest`` is True; in
-    a valid block these runs are the fields that may not fit a byte.
-
-    The greatest string among the widest runs is found a digit at a time;
-    unless it starts with 0, it holds the largest value. If every widest
-    run starts with 0, each run of 3 or more digits is read instead.
-    """
-    at = np.flatnonzero(widest)
-    for i in range(width):
-        digits = records[at + i]
-        at = at[digits == digits.max()]
-    if records[at[0]] != _ZERO:
-        return int(bytes(records[at[0] : at[0] + width]))
-    digit = (records - _ZERO) <= 9  # uint8 wraps below '0'
+    digit bytes are True in ``digit`` and whose runs have at most ``width``
+    digits; in a valid block these runs are the fields that may not fit a
+    byte. Leading zeros add nothing, so ``007`` reads as 7."""
     three = digit[:-2] & digit[1:-1] & digit[2:]  # digits at i, i+1 and i+2
     first = three.copy()
     first[1:] &= ~digit[:-3]
@@ -487,9 +474,10 @@ def load_samples(path, cards=None) -> SampleMatrix:
             l = width = top = 0
             for block in _line_blocks(f):
                 records = _records(block)
-                block_width, widest = _widest_digit_run(records, l)
+                digit = (records - _ZERO) <= 9  # uint8 wraps below '0'
+                block_width = _widest_digit_run(records, digit, l)
                 if block_width > 2:  # a value of 3 or more digits may not fit a byte
-                    top = max(top, _largest_wide_value(records, block_width, widest))
+                    top = max(top, _largest_wide_value(records, digit, block_width))
                 width = max(width, block_width)
                 l += int(np.count_nonzero(records == _NL))
             dtype = np.min_scalar_type(top)

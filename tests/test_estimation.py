@@ -375,7 +375,7 @@ def test_load_samples_reads_the_dtype_from_the_file_not_from_cards(tmp_path):
         ("256,0\n", np.uint16),
         ("0255,1\n", np.uint8),
         ("007,12\n", np.uint8),
-        # every widest field starts with 0, and a narrower one holds the most
+        # the widest field starts with 0, and a narrower one holds the most
         ("0001,256\n", np.uint16),
         ("65535,0\n", np.uint16),
         ("65536,00065535\n", np.uint32),
