@@ -9,6 +9,14 @@ for, with one Horner code and one weighted ``np.bincount`` over the
 distinct rows, so recovery counts only the sets its decisions read.
 ``FrequencyTable.counts`` keeps the sets asked for through ``dense_counts``;
 the empirical provider and the deviation sweep count without storing.
+
+Samples of one-digit values, as every sample of cardinalities up to 10
+holds, are written and read as a grid of (digit, separator) byte pairs
+(``_grid_line``): ``save_samples`` writes a block of rows as one byte
+array, and ``load_samples`` checks and reads a block of such lines as
+little-endian ``<u2`` words by subtracting one template. Any other block
+goes through the general digit code, with the same grammar, bytes and
+errors.
 """
 
 from __future__ import annotations
@@ -71,6 +79,8 @@ class SampleMatrix:
 
     def __init__(self, cards, rows):
         self.cards = _indices(cards, "cards", InvalidSamplesError)
+        if not self.cards:
+            raise InvalidSamplesError("variable count must be >= 1, got 0 cards")
         for j, c in enumerate(self.cards, 1):
             if c < 1:
                 raise InvalidSamplesError(f"cardinality of x{j} must be >= 1, got {c}")
@@ -314,22 +324,42 @@ class EmpiricalMarginalProvider(_ProviderBase):
         return self._freq._count(pos) / self._freq.l
 
 
+def _grid_line(n) -> bytes:
+    """The line ``0,0,...,0\\n`` of n one-digit fields: a (digit,
+    separator) byte pair per field."""
+    return b"0," * (n - 1) + b"0\n"
+
+
 def save_samples(samples: SampleMatrix, path) -> None:
     """CSV with header x1..xn, one integer row per record; round-trips exactly.
 
-    Each ``_SAMPLE_CHUNK``-row block is formatted in numpy: every value
-    indexes a table of its right-aligned decimal digits plus a separator
-    slot, and a matching mask drops the leading pad, so the bytes are the
-    plain decimal CSV that the ``csv`` module writes.
+    Each ``_SAMPLE_CHUNK``-row block is formatted in numpy. When every
+    value has one digit (``max(cards) <= 10``), the block is one byte
+    array of ``_grid_line`` rows whose digit bytes are set a column at a
+    time to the value plus ``0``; the separators are set once. Otherwise
+    every value indexes a table of its right-aligned decimal digits plus a
+    separator slot, and a matching mask drops the leading pad. Either way
+    the bytes are the plain decimal CSV that the ``csv`` module writes.
     """
-    values = np.arange(max(samples.cards, default=1))
-    powers = 10 ** np.arange(len(str(values[-1])) - 1, -1, -1)
-    digits = np.zeros((values.size, powers.size + 1), dtype=np.uint8)
-    digits[:, :-1] = values[:, None] // powers % 10 + ord("0")
-    keep = np.ones(digits.shape, dtype=bool)
-    keep[:, :-1] = (values[:, None] >= powers) | (powers == 1)
     with open(path, "wb") as f:
         f.write((",".join(f"x{i}" for i in range(1, samples.n + 1)) + "\n").encode())
+        if max(samples.cards) <= 10:
+            line = np.frombuffer(_grid_line(samples.n), dtype=np.uint8)
+            pairs = np.tile(line, (min(samples.l, _SAMPLE_CHUNK), 1))
+            for start in range(0, samples.l, _SAMPLE_CHUNK):
+                block = samples.rows[start : start + _SAMPLE_CHUNK]
+                m = len(block)
+                # a column at a time: a whole-block add strides far slower
+                for j in range(samples.n):
+                    np.add(block[:, j], _ZERO, out=pairs[:m, 2 * j])
+                f.write(pairs[:m])
+            return
+        values = np.arange(max(samples.cards))
+        powers = 10 ** np.arange(len(str(values[-1])) - 1, -1, -1)
+        digits = np.zeros((values.size, powers.size + 1), dtype=np.uint8)
+        digits[:, :-1] = values[:, None] // powers % 10 + ord("0")
+        keep = np.ones(digits.shape, dtype=bool)
+        keep[:, :-1] = (values[:, None] >= powers) | (powers == 1)
         for start in range(0, samples.l, _SAMPLE_CHUNK):
             block = samples.rows[start : start + _SAMPLE_CHUNK]
             # np.take gathers table rows far faster than digits[block]
@@ -387,6 +417,23 @@ def _widest_digit_run(records, digit, first_row) -> int:
             )
         run = run[:-1] & digit[width:]
     return width
+
+
+def _grid_values(block, n, template) -> np.ndarray | None:
+    """The (m, n) uint8 values of ``block`` if it is m lines of n
+    one-digit fields, else None. ``template`` is ``_grid_line(n)`` as
+    little-endian ``<u2`` words, repeated at least as many times as a
+    clean block has lines.
+
+    A word of the block minus its template word is in 0-9 exactly when its
+    digit byte is ``0``-``9`` and its separator byte is the template's, so
+    a ``\\r``, a blank line, a sign, a wider field, another separator or
+    another field count leaves some word above 9.
+    """
+    if block.size % (2 * n) or block.size > 2 * template.size:
+        return None
+    values = block.view("<u2") - template[: block.size // 2]
+    return values.astype(np.uint8).reshape(-1, n) if values.max() <= 9 else None
 
 
 def _block_values(records, n, width, dtype, first_row) -> np.ndarray:
@@ -457,11 +504,15 @@ def load_samples(path, cards=None) -> SampleMatrix:
     check and parse each block into its rows of a preallocated column-major
     array. That array's dtype is the smallest unsigned one that holds the
     largest value, so ``SampleMatrix`` copies it only when ``cards`` asks
-    for a wider one. The first pass reads only the fields of 3 or more
-    digits, since every value of 2 digits fits a byte, and refuses only a
-    field of more than ``_MAX_DIGITS`` digits; any other bad record is
-    found by the second pass, so the first bad block in the file is the one
-    named. No other temporary grows with l.
+    for a wider one. Both passes read a block of lines of n one-digit
+    fields as a grid of byte pairs (``_grid_values``), which needs no
+    other check; any other block goes through ``_records`` and the digit
+    code, with the same grammar and errors. On such a block the first pass
+    reads only the fields of 3 or more digits, since every value of 2
+    digits fits a byte, and refuses only a field of more than
+    ``_MAX_DIGITS`` digits; any other bad record is found by the second
+    pass, so the first bad block in the file is the one named. No other
+    temporary grows with l.
     """
     try:
         with open(path, "rb") as f:
@@ -471,8 +522,14 @@ def load_samples(path, cards=None) -> SampleMatrix:
                 raise ValueError(f"malformed header: column {bad!r} does not start with x")
             n = len(header)
             body = f.tell()
+            # as many lines as the longest block of 2n-byte lines
+            template = np.tile(np.frombuffer(_grid_line(n), dtype="<u2"), _PARSE_BLOCK // (2 * n) + 1)
             l = width = top = 0
             for block in _line_blocks(f):
+                grid = _grid_values(block, n, template)
+                if grid is not None:  # one-digit fields: no wider field, and no value above a byte
+                    l += len(grid)
+                    continue
                 records = _records(block)
                 digit = (records - _ZERO) <= 9  # uint8 wraps below '0'
                 block_width = _widest_digit_run(records, digit, l)
@@ -485,7 +542,9 @@ def load_samples(path, cards=None) -> SampleMatrix:
             f.seek(body)
             done = 0
             for block in _line_blocks(f):
-                values = _block_values(_records(block), n, width, dtype, done)
+                values = _grid_values(block, n, template)
+                if values is None:
+                    values = _block_values(_records(block), n, width, dtype, done)
                 rows[done : done + len(values)] = values
                 done += len(values)
         if cards is None:

@@ -31,7 +31,8 @@ from tuplebn import (
     save_samples,
     tuple_frequencies,
 )
-from tuplebn.estimation import _PARSE_BLOCK, _SAMPLE_CHUNK
+from tuplebn import estimation
+from tuplebn.estimation import _PARSE_BLOCK, _SAMPLE_CHUNK, _block_values, _grid_line, _grid_values, _records
 
 
 def point_mass_dag():
@@ -77,6 +78,12 @@ def test_sample_matrix_validates_range():
         SampleMatrix((2, 2), [[0, -1]])
     with pytest.raises(ValueError):
         SampleMatrix((0, 2), np.zeros((0, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("l", [3, 0])
+def test_sample_matrix_refuses_no_variables(l):
+    with pytest.raises(InvalidSamplesError, match="variable count must be >= 1, got 0"):
+        SampleMatrix((), np.empty((l, 0), dtype=np.uint8))
 
 
 def test_sample_matrix_rejects_non_integer_values():
@@ -254,13 +261,27 @@ def csv_writer_bytes(samples, path):
 
 @pytest.mark.parametrize(
     "cards, l",
-    [((10, 300, 2, 1, 11, 1000), _SAMPLE_CHUNK + 7), ((7,), 1000), ((10, 2, 300), 1)],
-    ids=["widths-1-to-3", "one-column", "one-row"],
+    [
+        ((10, 300, 2, 1, 11, 1000), _SAMPLE_CHUNK + 7),
+        ((7,), 1000),
+        ((10, 2, 300), 1),
+        *(((10, 2, 1, 7), l) for l in (0, 1, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1)),
+        ((10,), _SAMPLE_CHUNK + 1),
+        ((11, 3), 100),
+    ],
+    ids=[
+        "widths-1-to-3",
+        "one-column",
+        "one-row",
+        *(f"one-digit-l{l}" for l in ("0", "1", "chunk-1", "chunk", "chunk+1")),
+        "one-digit-one-column",
+        "one-two-digit-value",
+    ],
 )
 def test_save_samples_matches_csv_writer(tmp_path, cards, l):
     rng = np.random.default_rng(l)
     rows = rng.integers(0, cards, size=(l, len(cards)))
-    rows[0] = np.asarray(cards) - 1  # every column's widest value
+    rows[:1] = np.asarray(cards) - 1  # every column's widest value
     s = SampleMatrix(cards, rows)
     path = tmp_path / "rows.csv"
     save_samples(s, path)
@@ -432,6 +453,144 @@ def test_load_samples_numbers_rows_across_parse_blocks(tmp_path):
     path.write_bytes(data[:start] + data[start:end].rsplit(b",", 1)[0] + data[end:])
     with pytest.raises(InvalidSamplesError, match=f"row {row}: 4 columns under a 5-column header"):
         load_samples(path)
+
+
+def one_digit_samples(l, n=5, seed=0):
+    # 2n = 10-byte lines: a read of _PARSE_BLOCK bytes ends inside a record
+    return SampleMatrix((10,) * n, np.random.default_rng(seed).integers(0, 10, size=(l, n)))
+
+
+def csv_rows(path):
+    """The records of a samples CSV as the csv module reads them."""
+    with open(path, newline="") as f:
+        return [[int(v) for v in rec] for rec in itertools.islice(csv.reader(f), 1, None)]
+
+
+@pytest.fixture
+def general_blocks(monkeypatch):
+    """The number of blocks each pass of load_samples sends through the
+    general digit code rather than the grid of byte pairs."""
+    calls = {"first": 0, "second": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(estimation, fn.__name__, wrapper)
+
+    counted("first", estimation._widest_digit_run)
+    counted("second", estimation._block_values)
+    return calls
+
+
+def test_load_samples_reads_one_digit_rows_across_parse_blocks(tmp_path, general_blocks):
+    # the carried bytes grow by 2 a block, so the fifth block holds one
+    # line more than a read of _PARSE_BLOCK bytes does
+    s = one_digit_samples(6 * _PARSE_BLOCK // 10)
+    path = tmp_path / "rows.csv"
+    save_samples(s, path)
+    data = path.read_bytes()
+    body = data.index(b"\n") + 1
+    assert len(data) - body > 5 * _PARSE_BLOCK
+    assert data[body + _PARSE_BLOCK - 1 : body + _PARSE_BLOCK] != b"\n"
+    assert load_samples(path, cards=s.cards) == s
+    assert load_samples(path) == s
+    assert general_blocks == {"first": 0, "second": 0}
+
+
+def test_load_samples_grid_blocks_then_a_two_digit_value(tmp_path, general_blocks):
+    s = one_digit_samples(3 * _PARSE_BLOCK // 10)
+    path = tmp_path / "rows.csv"
+    save_samples(s, path)
+    with open(path, "ab") as f:
+        f.write(b"12,0,3,4,5\n")
+    rows = csv_rows(path)
+    loaded = load_samples(path)
+    assert loaded == SampleMatrix(np.max(rows, axis=0) + 1, rows)
+    assert loaded.cards == (13, 10, 10, 10, 10) and loaded.rows.dtype == np.uint8
+    # only the last block, the one with the 2-digit field, is read digit by digit
+    assert general_blocks == {"first": 1, "second": 1}
+
+
+def test_load_samples_grid_blocks_then_a_ragged_record(tmp_path):
+    s = one_digit_samples(3 * _PARSE_BLOCK // 10)
+    path = tmp_path / "rows.csv"
+    save_samples(s, path)
+    with open(path, "ab") as f:
+        f.write(b"1,2,3,4\n")
+    with pytest.raises(InvalidSamplesError, match=f"rows.csv: row {s.l + 1}: 4 columns under a 5-column header$"):
+        load_samples(path)
+
+
+_NL, _COMMA, _DIGITS = b"\n", b",", b"0123456789"
+
+# each mutation of a clean block: the bytes it applies at, and its edit at byte i
+_GRID_MUTATIONS = {
+    "cr": (_NL, lambda data, i: data[:i] + b"\r" + data[i:]),
+    "blank-line": (_NL, lambda data, i: data[: i + 1] + b"\n" + data[i + 1 :]),
+    "two-digit-field": (_DIGITS, lambda data, i: data[:i] + b"1" + data[i:]),
+    "missing-field": (_COMMA, lambda data, i: data[: i - 1] + data[i + 1 :]),
+    "extra-field": (_NL, lambda data, i: data[:i] + b",7" + data[i:]),
+    "below-0": (_DIGITS, lambda data, i: data[:i] + b"/" + data[i + 1 :]),
+    "above-9": (_DIGITS, lambda data, i: data[:i] + b":" + data[i + 1 :]),
+    "semicolon": (_COMMA + _NL, lambda data, i: data[:i] + b";" + data[i + 1 :]),
+    "line-end-for-comma": (_COMMA, lambda data, i: data[:i] + b"\n" + data[i + 1 :]),
+    "comma-for-line-end": (_NL, lambda data, i: data[:i] + b"," + data[i + 1 :]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    values=st.lists(st.integers(0, 9), min_size=1, max_size=60),
+    mutations=st.lists(st.tuples(st.sampled_from(sorted(_GRID_MUTATIONS)), st.integers(0, 10**6)), max_size=2),
+)
+def test_grid_reader_declines_or_agrees_with_the_digit_code(n, values, mutations):
+    values = values[: len(values) // n * n] or [0] * n
+    data = b"".join(b",".join(b"%d" % v for v in row) + b"\n" for row in np.reshape(values, (-1, n)).tolist())
+    for name, k in mutations:
+        applies, edit = _GRID_MUTATIONS[name]
+        at = [i for i, byte in enumerate(data) if byte in applies]
+        if at:
+            data = edit(data, at[k % len(at)])
+    block = np.frombuffer(data, dtype=np.uint8)
+    template = np.tile(np.frombuffer(_grid_line(n), dtype="<u2"), _PARSE_BLOCK // (2 * n) + 1)
+    grid = _grid_values(block, n, template)
+    # the grid reads exactly the blocks of lines of n one-digit fields
+    one_digit_lines = re.fullmatch(rb"(?:(?:[0-9],){%d}[0-9]\n)+" % (n - 1), data) is not None
+    assert (grid is not None) == one_digit_lines
+    if grid is not None:
+        assert grid.dtype == np.uint8
+        assert np.array_equal(grid, _block_values(_records(block), n, 1, np.uint8, 0))
+
+
+def test_load_samples_one_digit_peak_memory(tmp_path):
+    s = SampleMatrix((3,) * 8, np.random.default_rng(0).integers(0, 3, size=(500_000, 8)))
+    path = tmp_path / "rows.csv"
+    save_samples(s, path)
+    tracemalloc.start()
+    try:
+        loaded = load_samples(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == s
+    assert peak < 2 * loaded.rows.nbytes
+
+
+@pytest.mark.parametrize("card", [3, 200], ids=["one-digit", "three-digit"])
+def test_save_samples_peak_memory_does_not_grow_with_l(tmp_path, card):
+    peaks = []
+    for l in (2 * _SAMPLE_CHUNK, 40 * _SAMPLE_CHUNK):
+        s = SampleMatrix((card,) * 8, np.random.default_rng(l).integers(0, card, size=(l, 8)))
+        tracemalloc.start()
+        try:
+            save_samples(s, tmp_path / "rows.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 64 * 1024, peaks
 
 
 @settings(max_examples=20, deadline=None)
