@@ -428,9 +428,10 @@ def _grid_values(block, n, template) -> np.ndarray | None:
     A word of the block minus its template word is in 0-9 exactly when its
     digit byte is ``0``-``9`` and its separator byte is the template's, so
     a ``\\r``, a blank line, a sign, a wider field, another separator or
-    another field count leaves some word above 9.
+    another field count leaves some word above 9. An empty block has no
+    word to check and is left to the digit code.
     """
-    if block.size % (2 * n) or block.size > 2 * template.size:
+    if not block.size or block.size % (2 * n) or block.size > 2 * template.size:
         return None
     values = block.view("<u2") - template[: block.size // 2]
     return values.astype(np.uint8).reshape(-1, n) if values.max() <= 9 else None
