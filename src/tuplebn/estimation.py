@@ -16,7 +16,11 @@ holds, are written and read as a grid of (digit, separator) byte pairs
 array, and ``load_samples`` checks and reads a block of such lines as
 little-endian ``<u2`` words by subtracting one template. Any other block
 goes through the general digit code, with the same grammar, bytes and
-errors.
+errors. One parser reads each block in both passes of ``load_samples``;
+the first pass parses in uint64 to count the records and find the largest
+value, so the first bad block in the file is named, whatever its error.
+Within a block the checks run in the order: bad byte, empty field, field
+count, field width.
 """
 
 from __future__ import annotations
@@ -404,21 +408,6 @@ def _row_of(records, at, first_row) -> int:
     return first_row + 1 + int(np.count_nonzero(records[:at] == _NL))
 
 
-def _widest_digit_run(records, digit, first_row) -> int:
-    """Length of the longest run of digit bytes in ``records``, whose digit
-    bytes are True in ``digit``; a run of more than ``_MAX_DIGITS`` raises,
-    naming its row."""
-    run, width = digit, 0
-    while run.any():  # some run of width + 1 digits
-        width += 1
-        if width > _MAX_DIGITS:
-            raise ValueError(
-                f"row {_row_of(records, int(np.argmax(run)), first_row)}: a value of more than {_MAX_DIGITS} digits"
-            )
-        run = run[:-1] & digit[width:]
-    return width
-
-
 def _grid_values(block, n, template) -> np.ndarray | None:
     """The (m, n) uint8 values of ``block`` if it is m lines of n
     one-digit fields, else None. ``template`` is ``_grid_line(n)`` as
@@ -437,13 +426,16 @@ def _grid_values(block, n, template) -> np.ndarray | None:
     return values.astype(np.uint8).reshape(-1, n) if values.max() <= 9 else None
 
 
-def _block_values(records, n, width, dtype, first_row) -> np.ndarray:
-    """The (m, n) values of the m records of ``records``, whose fields have
-    at most ``width`` digits, read in ``dtype``.
+def _block_values(records, n, dtype, first_row) -> np.ndarray:
+    """The (m, n) values of the m records of ``records``, read in ``dtype``.
 
     Each field ends on a ``,`` or ``\\n`` byte; once every byte is a digit
     or one of those and no field is empty, the byte before each separator
-    is its field's last digit, and ``_digit_values`` builds the values.
+    is its field's last digit and the distance between separators its
+    width, and ``_digit_values`` builds the values. The checks run in a
+    fixed order, each naming the row of its first offence: a bad byte, an
+    empty field, a record of the wrong field count, a field of more than
+    ``_MAX_DIGITS`` digits.
     """
     nl = records == _NL
     sep = nl | (records == _COMMA)
@@ -463,21 +455,12 @@ def _block_values(records, n, width, dtype, first_row) -> np.ndarray:
         fields = np.diff(np.flatnonzero(nl[last + 1]), prepend=-1)
         r = int(np.argmax(fields != n))
         raise ValueError(f"row {first_row + r + 1}: {fields[r]} columns under a {n}-column header")
-    widths = np.diff(last, prepend=-2) - 1 if width > 1 else None
+    widths = np.diff(last, prepend=-2) - 1
+    width = int(widths.max(initial=0))
+    if width > _MAX_DIGITS:
+        at = int(last[np.argmax(widths > _MAX_DIGITS)])
+        raise ValueError(f"row {_row_of(records, at, first_row)}: a value of more than {_MAX_DIGITS} digits")
     return _digit_values(records, last, widths, width, dtype).reshape(m, n)
-
-
-def _largest_wide_value(records, digit, width) -> int:
-    """The largest value of a run of 3 or more digits in ``records``, whose
-    digit bytes are True in ``digit`` and whose runs have at most ``width``
-    digits; in a valid block these runs are the fields that may not fit a
-    byte. Leading zeros add nothing, so ``007`` reads as 7."""
-    three = digit[:-2] & digit[1:-1] & digit[2:]  # digits at i, i+1 and i+2
-    first = three.copy()
-    first[1:] &= ~digit[:-3]
-    last = np.flatnonzero(three[:-1] & ~digit[3:]) + 2  # records ends on a newline
-    widths = last - np.flatnonzero(first) + 1
-    return int(_digit_values(records, last, widths, width, np.uint64).max())
 
 
 def _digit_values(records, last, widths, width, dtype) -> np.ndarray:
@@ -500,20 +483,21 @@ def load_samples(path, cards=None) -> SampleMatrix:
     unless given explicitly. A file that does not hold valid records raises
     InvalidSamplesError naming the file and, for a bad record, its row.
 
-    The body is read twice in ``_PARSE_BLOCK``-byte blocks: once to count
-    the records and find the widest field and the largest value, once to
-    check and parse each block into its rows of a preallocated column-major
-    array. That array's dtype is the smallest unsigned one that holds the
-    largest value, so ``SampleMatrix`` copies it only when ``cards`` asks
-    for a wider one. Both passes read a block of lines of n one-digit
-    fields as a grid of byte pairs (``_grid_values``), which needs no
-    other check; any other block goes through ``_records`` and the digit
-    code, with the same grammar and errors. On such a block the first pass
-    reads only the fields of 3 or more digits, since every value of 2
-    digits fits a byte, and refuses only a field of more than
-    ``_MAX_DIGITS`` digits; any other bad record is found by the second
-    pass, so the first bad block in the file is the one named. No other
-    temporary grows with l.
+    The body is read twice in ``_PARSE_BLOCK``-byte blocks, and both
+    passes parse each block with one parser: a block of lines of n
+    one-digit fields as a grid of byte pairs (``_grid_values``), which
+    needs no other check, and any other block through ``_records`` and
+    ``_block_values``. The first pass parses in uint64 to count the records
+    and find the largest value. The second parses each block again into its
+    rows of a preallocated column-major array, whose dtype is the smallest
+    unsigned one that holds the largest value, so ``SampleMatrix`` copies
+    it only when ``cards`` asks for a wider one. As the first pass checks
+    every block in full, the first bad block in the file is the one named,
+    whatever its error. Within a block the checks run in a fixed order: a
+    bad byte, an empty field, a record of the wrong field count, a field of
+    more than ``_MAX_DIGITS`` digits; so a block that holds both a bad byte
+    and a too-wide field names the bad byte. No other temporary grows
+    with l.
     """
     try:
         with open(path, "rb") as f:
@@ -525,27 +509,21 @@ def load_samples(path, cards=None) -> SampleMatrix:
             body = f.tell()
             # as many lines as the longest block of 2n-byte lines
             template = np.tile(np.frombuffer(_grid_line(n), dtype="<u2"), _PARSE_BLOCK // (2 * n) + 1)
-            l = width = top = 0
+
+            def parse(block, dtype, first_row):
+                values = _grid_values(block, n, template)
+                return values if values is not None else _block_values(_records(block), n, dtype, first_row)
+
+            l = top = 0
             for block in _line_blocks(f):
-                grid = _grid_values(block, n, template)
-                if grid is not None:  # one-digit fields: no wider field, and no value above a byte
-                    l += len(grid)
-                    continue
-                records = _records(block)
-                digit = (records - _ZERO) <= 9  # uint8 wraps below '0'
-                block_width = _widest_digit_run(records, digit, l)
-                if block_width > 2:  # a value of 3 or more digits may not fit a byte
-                    top = max(top, _largest_wide_value(records, digit, block_width))
-                width = max(width, block_width)
-                l += int(np.count_nonzero(records == _NL))
-            dtype = np.min_scalar_type(top)
-            rows = np.empty((l, n), dtype=dtype, order="F")
+                values = parse(block, np.uint64, l)
+                top = max(top, int(values.max(initial=0)))
+                l += len(values)
+            rows = np.empty((l, n), dtype=np.min_scalar_type(top), order="F")
             f.seek(body)
             done = 0
             for block in _line_blocks(f):
-                values = _grid_values(block, n, template)
-                if values is None:
-                    values = _block_values(_records(block), n, width, dtype, done)
+                values = parse(block, rows.dtype, done)
                 rows[done : done + len(values)] = values
                 done += len(values)
         if cards is None:

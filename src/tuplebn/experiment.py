@@ -292,11 +292,14 @@ def run_trial_cell(config: ExperimentConfig, trial: int, l_index: int) -> TrialR
 def summarize(config: ExperimentConfig, reports: list[TrialReport], sizes: SampleSizes) -> dict:
     """Aggregate per sample size and set the observed rates beside the
     uniform-deviation bound at the same l. ``sizes`` is what
-    ``required_sample_size`` solves for the config."""
+    ``required_sample_size`` solves for the config. Every sample size needs
+    at least one report; the first that has none raises ValueError."""
     h = vc_upper_bound(config.n, config.k, max(config.cards))
     per_l = []
     for l_index, l in enumerate(config.sample_sizes):
         cell = [r for r in reports if r.l_index == l_index]
+        if not cell:
+            raise ValueError(f"no trial report for sample size l = {l} (l_index {l_index})")
         counts = {
             OUTCOME_OK: 0,
             OUTCOME_VIOLATION: 0,

@@ -230,8 +230,23 @@ def verify_shattered(witness: ShatterWitness) -> VerifyResult:
     One pass over the columns maps each column vector (its first l_points
     entries) to the first column that holds it, so each subset finds its
     column with one lookup instead of a scan.
+
+    A witness whose matrix or points are not l_points rows of n entries,
+    or whose value_pairs are not n pairs, raises ValueError naming the
+    field; one whose entries disagree gives ``ok=False``.
     """
-    lp = witness.l_points
+    lp, n = witness.l_points, witness.n
+    for name, count, width, shape in (
+        ("matrix", lp, n, f"{lp} rows of {n} entries"),
+        ("points", lp, n, f"{lp} rows of {n} entries"),
+        ("value_pairs", n, 2, f"{n} pairs"),
+    ):
+        rows = getattr(witness, name)
+        if len(rows) != count:
+            raise ValueError(f"witness {name} must be {shape}, got {len(rows)}")
+        for r, row in enumerate(rows):
+            if len(row) != width:
+                raise ValueError(f"witness {name} must be {shape}, got {len(row)} entries at index {r}")
     # by index, not zip(*matrix): with l_points == 0 every column is ()
     first_column: dict[tuple[int, ...], int] = {}
     for i in range(witness.n):

@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -404,6 +405,19 @@ def test_summarize_skips_cells_without_a_deviation():
     assert entry["max_freq_dev_mean"] == pytest.approx(0.15)
     assert entry["freq_dev_exceed_rate"] == 0.5
     assert entry["outcomes"]["error"] == 1
+
+
+@pytest.mark.parametrize("l_indices", [[0], []], ids=["one-size-of-two", "no-reports"])
+def test_summarize_refuses_a_sample_size_without_reports(l_indices):
+    config = ExperimentConfig.from_dict({
+        "n": 3, "delta": 1, "d": 2, "sample_sizes": [100, 200], "epsilon": 0.2, "delta_risk": 0.05,
+        "trials": 1, "seed": 1, "output_dir": "out",
+    })
+    reports = [TrialReport(0, i, config.sample_sizes[i], 1, "markov-ok", 0.25, 3, True) for i in l_indices]
+    sizes = required_sample_size(3, config.k, 2, config.epsilon, config.delta_risk)
+    l, i = (200, 1) if l_indices else (100, 0)
+    with pytest.raises(ValueError, match=re.escape(f"no trial report for sample size l = {l} (l_index {i})")):
+        summarize(config, reports, sizes)
 
 
 @pytest.mark.parametrize("trial, l_index, message", [

@@ -56,6 +56,15 @@ def test_sample_determinism(chain_dag):
     assert a != c
 
 
+def test_sample_rows_are_a_prefix_of_a_longer_sample():
+    # draws continue one stream across blocks of _SAMPLE_CHUNK rows, so a
+    # shorter sample is the start of a longer one at the same seed
+    dag = random_dag(12, 2, 3, 4)
+    rows = sample(dag, 4 * (_SAMPLE_CHUNK + 1), seed=7).rows
+    for l in (1, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1, 10_000):
+        assert np.array_equal(sample(dag, l, seed=7).rows, rows[:l]), l
+
+
 def test_sample_requires_valid_dag():
     # an invalid network fails where it is built, before it can be sampled
     with pytest.raises(InvalidDagError, match="cpt row does not sum to 1"):
@@ -336,8 +345,14 @@ def test_load_samples_header_only(tmp_path):
         ("x1,x2\n0,1\n\n\r\n1,0\n\n\n", [[0, 1], [1, 0]]),
         ("x1,x2\n\n0,1\n1,0\n", [[0, 1], [1, 0]]),
         ("x1,x2\n000,01\n10,0007\n", [[0, 1], [10, 7]]),
+        # the last line, without a newline, is a block of its own that is
+        # shorter than the widest field of the file
+        ("x1,x2\n1234567890,1\n15,2", [[1234567890, 1], [15, 2]]),
     ],
-    ids=["crlf", "no-final-newline", "crlf-no-final-newline", "blank-lines", "leading-blank-line", "leading-zeros"],
+    ids=[
+        "crlf", "no-final-newline", "crlf-no-final-newline", "blank-lines", "leading-blank-line", "leading-zeros",
+        "short-last-line-after-a-wide-field",
+    ],
 )
 def test_load_samples_accepts_the_grammar(tmp_path, body, rows):
     path = tmp_path / "rows.csv"
@@ -411,12 +426,28 @@ def test_load_samples_reads_the_largest_value_from_the_wide_fields(tmp_path, bod
 
 
 def test_load_samples_names_the_first_bad_block(tmp_path):
-    # the first pass reads no block in full, so a bad record of a later
-    # block of 3-digit fields is not reported before an earlier one
+    # a bad record of a later block of 3-digit fields is not reported
+    # before an earlier one
     narrow = "1,2\n" * (_PARSE_BLOCK // 4)
     path = tmp_path / "rows.csv"
     path.write_text("x1,x2\n1,2\n1,,2\n" + narrow + "300,1\n300,x\n")
     with pytest.raises(InvalidSamplesError, match="rows.csv: row 2: empty field"):
+        load_samples(path)
+
+
+def test_load_samples_names_the_first_bad_block_whatever_its_error(tmp_path):
+    # a bad byte in the first block, a field of 19 digits in the second
+    path = tmp_path / "rows.csv"
+    path.write_text("x1,x2\n1,2\na,1\n" + "1,2\n" * 40_000 + "1," + "1" * 19 + "\n")
+    with pytest.raises(InvalidSamplesError, match="rows.csv: row 2: byte b'a' is not a digit"):
+        load_samples(path)
+
+
+def test_load_samples_checks_a_block_in_a_fixed_order(tmp_path):
+    # a field of 19 digits before a bad byte in one block: the byte is named
+    path = tmp_path / "rows.csv"
+    path.write_text("x1,x2\n1," + "1" * 19 + "\n1,2\n1,x\n")
+    with pytest.raises(InvalidSamplesError, match="rows.csv: row 3: byte b'x' is not a digit"):
         load_samples(path)
 
 
@@ -472,15 +503,12 @@ def general_blocks(monkeypatch):
     general digit code rather than the grid of byte pairs."""
     calls = {"first": 0, "second": 0}
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    def counted(records, n, dtype, first_row):
+        # the first pass parses in uint64
+        calls["first" if dtype == np.uint64 else "second"] += 1
+        return _block_values(records, n, dtype, first_row)
 
-        monkeypatch.setattr(estimation, fn.__name__, wrapper)
-
-    counted("first", estimation._widest_digit_run)
-    counted("second", estimation._block_values)
+    monkeypatch.setattr(estimation, "_block_values", counted)
     return calls
 
 
@@ -562,7 +590,7 @@ def test_grid_reader_declines_or_agrees_with_the_digit_code(n, values, mutations
     assert (grid is not None) == one_digit_lines
     if grid is not None:
         assert grid.dtype == np.uint8
-        assert np.array_equal(grid, _block_values(_records(block), n, 1, np.uint8, 0))
+        assert np.array_equal(grid, _block_values(_records(block), n, np.uint8, 0))
 
 
 def test_load_samples_one_digit_peak_memory(tmp_path):

@@ -158,6 +158,9 @@ def test_joint_table_validates_mass():
         JointTable((2,), np.array([np.nan, np.nan]))
     with pytest.raises(ValueError, match="sum to"):
         JointTable((2,), np.array([np.inf, 0.0]))
+    # 1e-8 off is above JOINT_SUM_TOL = 1e-10
+    with pytest.raises(ValueError, match="sum to"):
+        JointTable((2,), [0.5, 0.5 + 1e-8])
 
 
 def test_joint_table_refuses_fractional_cards():

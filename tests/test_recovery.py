@@ -48,6 +48,15 @@ def test_product_measure_recovers_empty(product_joint):
         assert skeleton.parents == ((), (), ())
 
 
+def test_exact_decider_sees_a_dependence_just_above_its_tolerance():
+    # x2 moves x1's mass by 1e-7: a statistic of 2.5e-8, above EXACT_TOL
+    # = 1e-9 but below a threshold of 1e-6
+    cpts = [np.array([[0.5, 0.5]]), np.array([[0.5, 0.5], [0.5 + 1e-7, 0.5 - 1e-7]])]
+    joint = factorized_joint(DiscreteDag(2, (2, 2), 1, ((), (1,)), cpts))
+    skeleton, _ = recover_structure(exact_ci_decider(joint, 1), 2, 1)
+    assert skeleton.parents == ((), (1,))
+
+
 def test_xor_needs_both_parents(xor_joint):
     skeleton, _ = recover_structure(exact_ci_decider(xor_joint, 2), 3, 2)
     assert skeleton.parents[2] == (1, 2)

@@ -216,6 +216,40 @@ def test_verify_detects_corruption():
     assert result.failing_subset is not None
 
 
+W8 = shatter_witness(8, 2)  # l_points 2
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"l_points": 3}, "witness matrix must be 3 rows of 8 entries, got 2"),
+        ({"n": 9}, "witness matrix must be 2 rows of 9 entries, got 8 entries at index 0"),
+        ({"matrix": W8.matrix[:1]}, "witness matrix must be 2 rows of 8 entries, got 1"),
+        ({"matrix": (W8.matrix[0], W8.matrix[1][:-1])}, "witness matrix must be 2 rows of 8 entries, got 7 entries at index 1"),
+        ({"points": W8.points + W8.points[:1]}, "witness points must be 2 rows of 8 entries, got 3"),
+        ({"points": (W8.points[0] + (0,), W8.points[1])}, "witness points must be 2 rows of 8 entries, got 9 entries at index 0"),
+        ({"value_pairs": W8.value_pairs[:-1]}, "witness value_pairs must be 8 pairs, got 7"),
+        ({"value_pairs": ((0, 1, 2),) + W8.value_pairs[1:]}, "witness value_pairs must be 8 pairs, got 3 entries at index 0"),
+    ],
+    ids=["l_points", "n", "matrix-rows", "matrix-row", "points-rows", "points-row", "value-pairs", "value-pair"],
+)
+def test_verify_shattered_refuses_a_witness_of_the_wrong_shape(changes, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_shattered(dataclasses.replace(W8, **changes))
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"points": ((W8.points[0][0] ^ 1,) + W8.points[0][1:], W8.points[1])},
+        {"value_pairs": ((1, 0),) + W8.value_pairs[1:]},
+    ],
+    ids=["points-bit", "value-pair-swapped"],
+)
+def test_verify_shattered_rejects_a_flipped_bit(changes):
+    assert not verify_shattered(dataclasses.replace(W8, **changes)).ok
+
+
 def reference_verify(witness, k):
     """verify_shattered as a column scan per subset, kept as the reference."""
     lp = witness.l_points
