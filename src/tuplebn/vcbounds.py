@@ -2,8 +2,10 @@
 
 A cylinder event fixes the values at k of the n positions. The class of all
 such events is finite, so its VC dimension is at most log2 of the class size
-(crudely k*log2(n*d)); a matching-order lower bound floor(log2(n-k+1)) comes
-from an explicit shattered point set built here and checked by brute force.
+(crudely k*log2(n*d)); a lower bound floor(log2(n-k+1)) comes from an
+explicit shattered point set built here and checked by brute force. The two
+do not match in order: the lower bound grows with neither k nor d, so they
+differ by a factor of about k (36 against 10 at n=2048, k=3, d=2).
 
 Two distinct inequalities live side by side and are never mixed:
 ``risk_bound`` evaluates the uniform-deviation probability bound
@@ -188,16 +190,15 @@ def shatter_witness(n: int, k: int, value_pairs=None) -> ShatterWitness:
             if pair[0] == pair[1]:
                 raise ValueError(f"position {j} offers only one value; two are required")
     l_points = vc_lower_bound(n, k)
-    matrix = []
-    for r in range(l_points):
-        row = [1] * (k - 1) + [0] * (n - k + 1)
-        for w in range(2**l_points):
-            row[k - 1 + w] = (w >> (l_points - 1 - r)) & 1
-        matrix.append(tuple(row))
-    points = tuple(
-        tuple(value_pairs[j][bit] for j, bit in enumerate(row)) for row in matrix
+    words = 2**l_points
+    matrix = tuple(
+        (1,) * (k - 1)
+        + tuple((w >> (l_points - 1 - r)) & 1 for w in range(words))
+        + (0,) * (n - k + 1 - words)
+        for r in range(l_points)
     )
-    return ShatterWitness(n, k, l_points, tuple(matrix), value_pairs, points)
+    points = tuple(tuple(value_pairs[j][bit] for j, bit in enumerate(row)) for row in matrix)
+    return ShatterWitness(n, k, l_points, matrix, value_pairs, points)
 
 
 @dataclass(frozen=True)
@@ -227,15 +228,17 @@ def verify_shattered(witness: ShatterWitness) -> VerifyResult:
     (1..k-1, that column), values taken from the second entry of each value
     pair. The cylinder must pick out exactly the rows where s is 1.
 
-    One pass over the columns maps each column vector (its first l_points
-    entries) to the first column that holds it, so each subset finds its
-    column with one lookup instead of a scan.
+    Every cylinder shares the head 1..k-1, so each row is tested against the
+    head once; one pass over the columns, from the last to the first, maps
+    each column vector (its first l_points entries) to the first column that
+    holds it, so each subset finds its column with one lookup.
 
-    A witness whose matrix or points are not l_points rows of n entries,
-    or whose value_pairs are not n pairs, raises ValueError naming the
-    field; one whose entries disagree gives ``ok=False``.
+    A witness whose ``k`` is outside 1..n raises the ValueError of
+    ``shatter_witness``; one whose matrix or points are not l_points rows of
+    n entries, or whose value_pairs are not n pairs, raises ValueError
+    naming the field; one whose entries disagree gives ``ok=False``.
     """
-    lp, n = witness.l_points, witness.n
+    (n, k), lp = _k_of_n(witness.n, witness.k), witness.l_points
     for name, count, width, shape in (
         ("matrix", lp, n, f"{lp} rows of {n} entries"),
         ("points", lp, n, f"{lp} rows of {n} entries"),
@@ -247,27 +250,23 @@ def verify_shattered(witness: ShatterWitness) -> VerifyResult:
         for r, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(f"witness {name} must be {shape}, got {len(row)} entries at index {r}")
-    # by index, not zip(*matrix): with l_points == 0 every column is ()
-    first_column: dict[tuple[int, ...], int] = {}
-    for i in range(witness.n):
-        first_column.setdefault(tuple(witness.matrix[r][i] for r in range(lp)), i + 1)
+    points, pairs = witness.points, witness.value_pairs
+    head = tuple(range(1, k))
+    head_values = tuple(pairs[p - 1][1] for p in head)
+    in_head = [all(row[p - 1] == v for p, v in zip(head, head_values)) for row in points]
+    columns = list(zip(*witness.matrix)) or [()] * n  # with no rows every column is ()
+    first_column = {columns[i]: i + 1 for i in range(n - 1, -1, -1)}
     certs: list[Certificate] = []
     for idx in range(2**lp):
         s = tuple((idx >> (lp - 1 - r)) & 1 for r in range(lp))
         column = first_column.get(s)
         if column is None:
             return VerifyResult(False, tuple(certs), s)
-        positions = tuple(range(1, witness.k)) + (column,)
-        values = tuple(witness.value_pairs[p - 1][1] for p in positions)
-        members = tuple(
-            r
-            for r in range(lp)
-            if all(witness.points[r][p - 1] == v for p, v in zip(positions, values))
-        )
-        expected = tuple(r for r in range(lp) if s[r] == 1)
-        if members != expected:
+        value = pairs[column - 1][1]
+        members = tuple(r for r in range(lp) if in_head[r] and points[r][column - 1] == value)
+        if members != tuple(r for r in range(lp) if s[r] == 1):
             return VerifyResult(False, tuple(certs), s)
-        certs.append(Certificate(idx, s, column, positions, values, members))
+        certs.append(Certificate(idx, s, column, head + (column,), head_values + (value,), members))
     return VerifyResult(True, tuple(certs), None)
 
 

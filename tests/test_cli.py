@@ -392,18 +392,20 @@ def test_experiment_output_dir_overrides_the_config(tmp_path, capsys):
 def test_summarize_skips_cells_without_a_deviation():
     config = ExperimentConfig.from_dict({
         "n": 3, "delta": 1, "d": 2, "sample_sizes": [100], "epsilon": 0.2, "delta_risk": 0.05,
-        "trials": 3, "seed": 1, "output_dir": "out",
+        "trials": 4, "seed": 1, "output_dir": "out",
     })
     reports = [
         TrialReport(0, 0, 100, 1, "markov-ok", 0.25, 3, True),
         TrialReport(1, 0, 100, 2, "error", math.nan, 0, False),
         TrialReport(2, 0, 100, 3, "markov-fail", 0.05, 3, False),
+        # a deviation of exactly epsilon counts as exceeding it
+        TrialReport(3, 0, 100, 4, "markov-ok", 0.2, 3, True),
     ]
     sizes = required_sample_size(3, config.k, 2, config.epsilon, config.delta_risk)
     entry = summarize(config, reports, sizes)["per_l"][0]
     assert entry["max_freq_dev_max"] == 0.25
-    assert entry["max_freq_dev_mean"] == pytest.approx(0.15)
-    assert entry["freq_dev_exceed_rate"] == 0.5
+    assert entry["max_freq_dev_mean"] == pytest.approx(0.5 / 3)
+    assert entry["freq_dev_exceed_rate"] == 2 / 3
     assert entry["outcomes"]["error"] == 1
 
 

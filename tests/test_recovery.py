@@ -19,6 +19,7 @@ from tuplebn import (
     ProviderCiDecider,
     Skeleton,
     attach_cpts,
+    dependence_statistic,
     empirical_ci_decider,
     exact_ci_decider,
     factorized_joint,
@@ -237,7 +238,7 @@ CPT_FAMILIES = ("parity", "deterministic", "noisy-parity", "near-deterministic",
 
 
 @st.composite
-def stress_networks(draw):
+def stress_networks(draw, families=CPT_FAMILIES):
     n = draw(st.integers(1, 7))
     delta = draw(st.integers(1, 2))
     cards = draw(st.lists(st.sampled_from((1, 2, 2, 3)), min_size=n, max_size=n))
@@ -245,7 +246,7 @@ def stress_networks(draw):
     parents, cpts = [], []
     for j in range(1, n + 1):
         ps = sorted(draw(st.lists(st.integers(1, j - 1), max_size=delta, unique=True)) if j > 1 else [])
-        family = draw(st.sampled_from(CPT_FAMILIES))
+        family = draw(st.sampled_from(families))
         d = cards[j - 1]
         shape = [cards[p - 1] for p in ps]
         configs = np.array(list(itertools.product(*map(range, shape))), dtype=int).reshape(math.prod(shape), len(ps))
@@ -273,6 +274,50 @@ def test_exact_recovery_beyond_dirichlet_networks(dag):
     skeleton, _ = recover_structure(decider, dag.n, dag.delta)
     rebuilt = attach_cpts(skeleton, decider.provider).dag
     assert is_markov_relative(joint, rebuilt, tol=1e-9)
+
+
+@st.composite
+def positive_networks(draw):
+    """A positive network: ``random_dag`` with, in some CPTs, a binary parent
+    made irrelevant by copying its value-0 rows to value 1, or a noisy-parity
+    or near-deterministic network of ``stress_networks`` (noise >= 0.01)."""
+    if draw(st.booleans()):
+        return draw(stress_networks(("noisy-parity", "near-deterministic")))
+    n = draw(st.integers(3, 7))
+    cards = draw(st.lists(st.sampled_from((2, 3)), min_size=n, max_size=n))
+    dag = random_dag(n, draw(st.integers(1, 2)), cards, draw(st.integers(0, 2**32 - 1)))
+    cpts = []
+    for ps, rows in zip(dag.parents, dag.cpts):
+        binary = [i for i, p in enumerate(ps) if cards[p - 1] == 2]
+        if binary and draw(st.booleans()):
+            i = draw(st.sampled_from(binary))
+            table = rows.reshape([cards[p - 1] for p in ps] + [rows.shape[1]]).copy()
+            np.moveaxis(table, i, 0)[1] = np.moveaxis(table, i, 0)[0]
+            rows = table.reshape(rows.shape)
+        cpts.append(rows)
+    return DiscreteDag(n, cards, dag.delta, dag.parents, cpts)
+
+
+def boundary_parents(joint, j):
+    """The smallest S of 1..j-1 with X_j independent of the other
+    predecessors given X_S, by ``dependence_statistic`` over all of them."""
+    provider = ExactMarginalProvider(joint, joint.n)
+    for size in range(j):
+        for S in itertools.combinations(range(1, j), size):
+            rest = tuple(p for p in range(1, j) if p not in S)
+            if dependence_statistic(provider, (j,), rest, S, EXACT_TOL) <= EXACT_TOL:
+                return S
+
+
+@settings(max_examples=150, deadline=None)
+@given(dag=positive_networks())
+def test_exact_recovery_returns_the_boundary_graph(dag):
+    # for a positive joint and a fixed order the minimal I-map is unique:
+    # each node's parents are its boundary, found here by conditioning on
+    # all predecessors at once, outside the 2*delta+1 tuple budget
+    joint = factorized_joint(dag)
+    skeleton, _ = recover_structure(exact_ci_decider(joint, dag.delta), dag.n, dag.delta)
+    assert skeleton.parents == tuple(boundary_parents(joint, j) for j in range(1, dag.n + 1))
 
 
 def lexicographic_recovery(decider, n, delta):

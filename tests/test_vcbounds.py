@@ -239,6 +239,23 @@ def test_verify_shattered_refuses_a_witness_of_the_wrong_shape(changes, message)
 
 
 @pytest.mark.parametrize(
+    "k, message",
+    [
+        (0, "need 1 <= k <= n, got k=0, n=8"),
+        (9, "need 1 <= k <= n, got k=9, n=8"),
+        (10, "need 1 <= k <= n, got k=10, n=8"),
+        (True, "k: expected an integer, got True"),
+    ],
+)
+def test_verify_shattered_refuses_a_k_outside_one_to_n(k, message):
+    # the error shatter_witness raises for the same n and k
+    with pytest.raises(ValueError, match=re.escape(message)):
+        shatter_witness(8, k)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_shattered(dataclasses.replace(W8, k=k))
+
+
+@pytest.mark.parametrize(
     "changes",
     [
         {"points": ((W8.points[0][0] ^ 1,) + W8.points[0][1:], W8.points[1])},
@@ -294,6 +311,7 @@ def test_verify_shattered_matches_column_scan_on_grid():
 
 W10 = shatter_witness(10, 1)  # l_points 3: word columns 1..8, zero columns 9 and 10
 W10_K2 = shatter_witness(10, 2)
+W9_K3 = shatter_witness(9, 3)  # l_points 2: head 1..2, word columns 3..6
 
 
 @pytest.mark.parametrize(
@@ -303,6 +321,10 @@ W10_K2 = shatter_witness(10, 2)
         (shatter_witness(9, 2, value_pairs=[(j + 3, j) for j in range(9)]), 2, True, None),
         # one bit of the word block flipped; the points still show the old bit
         (with_column(W10_K2, 3, (1, 1, 0), remap_points=False), 2, False, None),
+        # row 0's point at position 2 leaves the head; the all-ones subset
+        # picks column 1, so only the head test sees the flip
+        (dataclasses.replace(W9_K3, points=((1, 0) + W9_K3.points[0][2:], W9_K3.points[1])), 3, False,
+         lambda r: r.failing_subset == (1, 0) and len(r.certificates) == 2),
         # column 1 now repeats subset 5's word: the first match picks column 1
         (with_column(W10, 0, (1, 0, 1), remap_points=True), 1, True,
          lambda r: r.certificates[5].column == 1 and r.certificates[0].column == 9),
@@ -313,7 +335,7 @@ W10_K2 = shatter_witness(10, 2)
         (with_column(W10, 3, (0, 0, 0), remap_points=True), 1, False,
          lambda r: r.failing_subset == (0, 1, 1) and len(r.certificates) == 3),
     ],
-    ids=["value-pairs-3", "value-pairs-9", "flipped-bit", "duplicate-column",
+    ids=["value-pairs-3", "value-pairs-9", "flipped-bit", "flipped-head-bit", "duplicate-column",
          "duplicate-column-stale-points", "missing-column"],
 )
 def test_verify_shattered_matches_column_scan(w, k, ok, check):
