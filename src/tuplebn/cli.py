@@ -80,13 +80,10 @@ def _non_negative(text: str) -> int:
 
 
 def _parse_value_pairs(text: str) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for item in text.split(","):
-        a, sep, b = item.partition(":")
-        if not sep:
-            raise ValueError(f"value pairs must look like 0:1,0:1,..., got {text!r}")
-        pairs.append((int(a), int(b)))
-    return tuple(pairs)
+    try:
+        return tuple((int(a), int(b)) for a, b in (item.split(":") for item in text.split(",")))
+    except ValueError:
+        raise ValueError(f"value pairs must look like 0:1,0:1,..., got {text!r}")
 
 
 def cmd_generate(args) -> int:
@@ -169,7 +166,8 @@ def cmd_bounds(args) -> int:
         "delta_risk": args.delta_risk,
         "cylinder_count_exact": counts.exact,
         "cylinder_count_crude": counts.crude,
-        "vc_lower": vc_lower_bound(args.n, args.k),
+        # with one value per position every cylinder holds the one point
+        "vc_lower": vc_lower_bound(args.n, args.k) if args.d > 1 else 0,
         "vc_upper": vc_upper_bound(args.n, args.k, args.d),
         "vc_upper_tight": vc_upper_bound(args.n, args.k, args.d, tight=True),
         "l_suff": sizes.l_suff,

@@ -482,8 +482,13 @@ def _indented(text: bytes):
 
 
 def _read_json(path):
+    """The document in the JSON file ``path``; a file that is not JSON text
+    raises ValueError naming it."""
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"JSON file {path}: {exc}") from None
 
 
 def save_dag(dag: DiscreteDag, path) -> None:

@@ -10,13 +10,16 @@ differ by a factor of about k (36 against 10 at n=2048, k=3, d=2).
 Two distinct inequalities live side by side and are never mixed:
 ``risk_bound`` evaluates the uniform-deviation probability bound
 4*exp{(h(1+ln(2l/h))/l - (eps-1/l)^2) l}, while the sufficient-condition
-solver uses l/(1+ln(2l)) * (eps-1/l)^2/2 >= k*log2(nd). Both sample-size
-searches restrict to eps*l > 1, where the squared deviation term carries its
-intended positive sign.
+solver uses l/(1+ln(2l)) * (eps-1/l)^2/2 >= k*log2(nd). The first is a
+bound only where Sauer's lemma bounds the growth function by (2el/h)^h,
+that is where 2l >= h (Sauer 1972; Vapnik 1998); below that its usable
+bound is 1. The second is read only where eps*l > 1, where the squared
+deviation term carries its intended positive sign.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -83,7 +86,7 @@ def vc_lower_bound(n: int, k: int) -> int:
 
 class RiskBound(NamedTuple):
     value: float  # raw right-hand side, may exceed 1 or overflow to inf
-    bound: float  # min(1, value), the usable probability bound
+    bound: float  # min(1, value) where 2l >= h, else 1: the usable probability bound
     log_value: float  # natural log of the raw value, always finite
 
 
@@ -91,13 +94,17 @@ def risk_bound(h: float, l: int, epsilon: float) -> RiskBound:
     """Uniform-deviation probability bound 4*exp{(h(1+ln(2l/h))/l - (eps-1/l)^2) l}.
 
     Evaluated in log space; the raw value can dwarf float range for small l,
-    so the exponential is only taken when it fits.
+    so the exponential is only taken when it fits. ``bound`` is 1 where
+    2l < h, outside the range where the formula bounds anything. From 2l >= h
+    on, the exponent is concave in l and the value is above 4/e where that
+    range starts, so for any delta in (0, 1) ``bound < delta`` is false below
+    one l and true from it on.
     """
     h, l, epsilon = _real_in(h, "h"), _at_least(l, "l", 1), _real_in(epsilon, "epsilon", 1)
     exponent = (h * (1.0 + math.log(2.0 * l / h)) / l - (epsilon - 1.0 / l) ** 2) * l
     log_value = math.log(4.0) + exponent
     value = math.exp(log_value) if log_value < 700.0 else math.inf
-    return RiskBound(value, min(1.0, value), log_value)
+    return RiskBound(value, min(1.0, value) if 2 * l >= h else 1.0, log_value)
 
 
 class SampleSizes(NamedTuple):
@@ -106,36 +113,24 @@ class SampleSizes(NamedTuple):
 
 
 def _first_true(pred) -> int:
-    """Smallest l >= 1 with pred(l), for predicates false below a threshold.
-
-    Exponential growth to bracket, binary search to localize, then a
-    walk-down so the result self-certifies even off the monotone regime.
-    """
-    hi = 1
-    while not pred(hi):
-        hi *= 2
-        if hi > SEARCH_CAP:
-            raise RuntimeError(f"no feasible sample size below {SEARCH_CAP}")
-    lo = hi // 2  # pred(lo) is false (or lo == 0)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    while hi > 1 and pred(hi - 1):
-        hi -= 1
-    return hi
+    """Smallest l in 1..SEARCH_CAP with pred(l), for a pred false below one l
+    and true from it on."""
+    l = bisect.bisect_left(range(1, SEARCH_CAP + 1), True, key=pred) + 1
+    if l > SEARCH_CAP:
+        raise RuntimeError(f"no feasible sample size below {SEARCH_CAP}")
+    return l
 
 
 def required_sample_size(n: int, k: int, d: int, epsilon: float, delta_risk: float) -> SampleSizes:
     """Two smallest sample sizes, each certified by its own inequality.
 
-    l_suff satisfies l/(1+ln(2l)) * (eps-1/l)^2/2 >= k*log2(nd) and l_risk
-    satisfies risk_bound(k*log2(nd), l, eps) < delta_risk; in both cases
-    l - 1 fails. eps*l > 1 is not required of the inputs: both searches
-    restrict to that region, because the deviation term (eps - 1/l)^2 is
-    only meaningful with eps - 1/l positive.
+    l_suff satisfies l/(1+ln(2l)) * (eps-1/l)^2/2 >= k*log2(nd) with
+    eps*l > 1, and l_risk satisfies risk_bound(k*log2(nd), l, eps).bound <
+    delta_risk; in both cases l - 1 fails. eps*l > 1 is not required of the
+    inputs. Each test is false below one l and true from it on, so one
+    bisection over 1..SEARCH_CAP finds the smallest: once eps*l > 1, both
+    l/(1+ln(2l)) and (eps-1/l)^2 grow with l, and ``risk_bound`` says why
+    its test turns once.
     """
     h = vc_upper_bound(n, k, d)
     epsilon, delta_risk = _real_in(epsilon, "epsilon", 1), _real_in(delta_risk, "delta_risk", 1)
@@ -146,9 +141,7 @@ def required_sample_size(n: int, k: int, d: int, epsilon: float, delta_risk: flo
         return l / (1.0 + math.log(2.0 * l)) * (epsilon - 1.0 / l) ** 2 / 2.0 >= h
 
     def risk(l: int) -> bool:
-        if epsilon * l <= 1.0:
-            return False
-        return risk_bound(h, l, epsilon).value < delta_risk
+        return risk_bound(h, l, epsilon).bound < delta_risk
 
     return SampleSizes(_first_true(suff), _first_true(risk))
 

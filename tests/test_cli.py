@@ -239,6 +239,12 @@ def test_bounds_text_and_json_agree(tmp_path, capsys):
     assert data["vc_upper"] == 12.0
 
 
+def test_bounds_reports_no_shattered_point_with_one_value_per_position(capsys):
+    assert run(["bounds", "--n", "8", "--k", "3", "--d", "1", "--epsilon", "0.1", "--delta-risk", "0.05",
+                "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["vc_lower"] == 0
+
+
 def test_bounds_rejects_k_above_n(capsys):
     code = run(["bounds", "--n", "2", "--k", "5", "--d", "2", "--epsilon", "0.1", "--delta-risk", "0.05"])
     assert code == EXIT_USAGE
@@ -268,8 +274,9 @@ def test_witness_value_pairs_option(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["witness"]["value_pairs"] == [[0, 2], [1, 0], [5, 7]]
     assert data["witness"]["points"] == [[2, 1, 7]]
-    assert run(["witness", "--n", "3", "--k", "2", "--value-pairs", "0-1"]) == EXIT_USAGE
-    assert "0:1,0:1" in only_error_line(capsys)
+    for pairs in ("0-1", "0:1,x:2,0:1", "0:1:2,0:1,0:1"):
+        assert run(["witness", "--n", "3", "--k", "2", "--value-pairs", pairs]) == EXIT_USAGE
+        assert only_error_line(capsys) == f"error: value pairs must look like 0:1,0:1,..., got {pairs!r}"
 
 
 def test_usage_errors_exit_1(capsys):
@@ -472,6 +479,21 @@ def test_json_files_must_hold_an_object(tmp_path, capsys, command, what, text, g
         args = ["experiment", "--config", str(path)]
     assert run(args) == EXIT_USAGE
     assert only_error_line(capsys) == f"error: {what} must hold a JSON object, got {got}"
+
+
+@pytest.mark.parametrize("content", [b"not json", b"\xff{}"])
+@pytest.mark.parametrize("command", ["sample", "recover", "experiment"])
+def test_json_files_that_do_not_parse_are_named(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    args = {
+        "sample": ["sample", "--dag", str(path), "--l", "10", "--seed", "1", "--output", str(tmp_path / "s.csv")],
+        "recover": ["recover", "--mode", "exact", "--dag", str(path), "--delta", "1",
+                    "--output", str(tmp_path / "r.json")],
+        "experiment": ["experiment", "--config", str(path)],
+    }[command]
+    assert run(args) == EXIT_USAGE
+    assert only_error_line(capsys).startswith(f"error: JSON file {path}: ")
 
 
 def test_sample_names_malformed_dag_field(tmp_path, chain_dag, capsys):

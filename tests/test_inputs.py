@@ -5,11 +5,12 @@ Python."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from tuplebn import DiscreteDag, ExperimentConfig, InvalidDagError, dag_from_dict, dag_to_dict
+from tuplebn import DiscreteDag, ExperimentConfig, InvalidDagError, dag_from_dict, dag_to_dict, load_config, load_dag
 
 # 5 stands where a list is due; the others where an integer is due
 BAD_INTEGERS = (1.5, 2.0, True, "2", None)
@@ -108,3 +109,12 @@ def test_config_normalises_numpy_and_list_values():
         "trials": 1, "seed": 0, "output_dir": "out",
     })
     assert type(config.n) is int and type(config.alpha) is float and config.cards == (2, 2, 2)
+
+
+@pytest.mark.parametrize("content", [b"not json", b"\xff{}"])
+@pytest.mark.parametrize("load", [load_dag, load_config])
+def test_loaders_name_a_file_that_is_not_json(tmp_path, load, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ValueError, match=f"^JSON file {re.escape(str(path))}: "):
+        load(path)

@@ -127,6 +127,43 @@ def test_required_sample_size_reference_values():
     assert required_sample_size(8, 3, 2, 0.15, 0.05).l_risk == 4241
 
 
+def test_risk_bound_is_one_where_sauers_lemma_does_not_apply():
+    # 2l = 10 < h = 36: the formula's value is small, but it bounds nothing
+    rb = risk_bound(36.0, 5, 0.25)
+    assert rb.value == pytest.approx(1.6008e-4, rel=1e-4)
+    assert rb.bound == 1.0
+    rb = risk_bound(36.0, 3726, 0.25)
+    assert rb.bound == rb.value < 0.05
+
+
+def test_l_risk_falls_with_epsilon_and_grows_with_the_class():
+    epsilons = (0.15, 0.2, 0.22, 0.25, 0.3, 0.35, 0.4)
+    for n, k, d in ((2048, 3, 2), (64, 5, 2)):
+        sizes = [required_sample_size(n, k, d, eps, 0.05).l_risk for eps in epsilons]
+        assert sizes == sorted(sizes, reverse=True), (n, k, d, sizes)
+    # a larger class, h = 12, 21, 36, never needs fewer samples
+    for eps in epsilons:
+        sizes = [required_sample_size(n, 3, 2, eps, 0.05).l_risk for n in (8, 64, 2048)]
+        assert sizes == sorted(sizes), (eps, sizes)
+
+
+def test_l_risk_is_the_first_l_of_a_linear_scan():
+    assert required_sample_size(3, 3, 10, 0.7, 0.05).l_risk == 128
+    for n, k, d, eps in [
+        (n, k, d, eps)
+        for n in (2, 3, 4, 6)
+        for k in (1, 2, 3)
+        for d in (2, 3, 10)
+        for eps in (0.3, 0.5, 0.7, 0.9)
+        if k <= n
+    ]:
+        h = vc_upper_bound(n, k, d)
+        l_risk = required_sample_size(n, k, d, eps, 0.05).l_risk
+        assert 2 * l_risk >= h, (n, k, d, eps)
+        first = next(l for l in range(1, 10**5) if risk_bound(h, l, eps).bound < 0.05)
+        assert l_risk == first, (n, k, d, eps)
+
+
 def test_doubling_n_adds_bounded_increment():
     # k*log2(nd) grows by exactly k when n doubles; l_suff grows sublinearly
     for n in (16, 32, 64, 128):
