@@ -31,6 +31,13 @@ CLI_DIGESTS = {
     "recovered.json": "6a0305109ea7f83eccfdb9cefce16e8175d1b9510e234462a055b35a22c981cd",
     "trace.json": "c4544f566df5d2fac07e152b6fe36217293bde283367cfb915f60cae96e7c0de",
 }
+# the pipeline at n=64, d=2: a row takes 64 bits, more than one int64 row
+# code holds
+CLI_WIDE_DIGESTS = {
+    "freq.json": "e01d9257a3ff84c25b955ccc9047a3e92064b1c3eb82d9abdb1179a991a959fd",
+    "trace.json": "f382537b1ad9ba1c6bafef8da50e3251c4a10aa6d5a3929cb8da25b318c45850",
+    "recovered.json": "a2f5fe99f90fd87eca04985878484652eb7db45269147fbdec4b8bf61ebb1689",
+}
 # exact-mode recovery of a network with card-1 variables first, in the
 # middle and last (cards 1,2,3,2,1,3,2,4,2,1), at delta 2
 EXACT_DIGESTS = {
@@ -91,6 +98,23 @@ def cli_artifacts(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def cli_wide_artifacts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_cli_wide")
+    net, samples = str(out / "net.json"), str(out / "samples.csv")
+    p = {name: str(out / name) for name in CLI_WIDE_DIGESTS}
+    steps = [
+        ["generate", "--n", "64", "--delta", "1", "--d", "2", "--seed", "51", "--output", net],
+        ["sample", "--dag", net, "--l", "5000", "--seed", "52", "--output", samples],
+        ["estimate", "--samples", samples, "--k", "2", "--output", p["freq.json"]],
+        ["recover", "--mode", "empirical", "--samples", samples, "--delta", "1",
+         "--epsilon", "0.01", "--trace", p["trace.json"], "--output", p["recovered.json"]],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+    return {name: (out / name).read_bytes() for name in CLI_WIDE_DIGESTS}
+
+
+@pytest.fixture(scope="module")
 def exact_artifacts(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden_exact")
     net = str(out / "net.json")
@@ -123,6 +147,11 @@ def experiment_artifacts(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
 def test_cli_artifact_digest(cli_artifacts, name):
     assert sha256(cli_artifacts[name]) == CLI_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_WIDE_DIGESTS))
+def test_cli_wide_row_artifact_digest(cli_wide_artifacts, name):
+    assert sha256(cli_wide_artifacts[name]) == CLI_WIDE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_DIGESTS))
