@@ -3,10 +3,11 @@
 ``sample`` draws the rows in cache-sized blocks of ``_SAMPLE_CHUNK`` rows.
 ``tuple_frequencies`` finds the sample's distinct rows with one sort of
 packed int64 row codes: sampled rows repeat heavily (an n=12, d=2 sample of
-1e5 rows has about 2.2k). A
-``FrequencyTable`` then counts a position set the first time it is asked
-for, with one Horner code and one weighted ``np.bincount`` over the
-distinct rows, so recovery counts only the sets its decisions read.
+1e5 rows has about 2.2k). Rows wider than one int64 code hardly repeat, and
+are counted as drawn. A ``FrequencyTable`` then counts a position set the
+first time it is asked for, with one Horner code and one weighted
+``np.bincount`` over those rows, so recovery counts only the sets its
+decisions read.
 ``FrequencyTable.counts`` keeps the sets asked for through ``dense_counts``;
 the empirical provider and the deviation sweep count without storing.
 
@@ -156,7 +157,9 @@ def _inverse_cdf(out, u, cfg, cum_t) -> None:
 class FrequencyTable:
     """Occurrence counts of k-tuple cylinders, counted per position set on
     first use from the sample's ``distinct`` rows, an (n, m) array with one
-    variable per row, and their float64 multiplicities ``weights``.
+    variable per row, and their float64 multiplicities ``weights``. Rows
+    wider than one int64 code are kept as drawn, a view of the sample with
+    weight 1 each: they rarely repeat, so merging them would save nothing.
 
     ``counts`` maps each size-k position set asked for through
     ``dense_counts``, a strictly increasing tuple of positions (1-based), to
@@ -216,7 +219,7 @@ def sample(dag: DiscreteDag, l: int, seed) -> SampleMatrix:
     """Ancestral sampling: each row draws nodes in order, conditionally on
     the already-drawn parents. Deterministic for a given seed."""
     l = _at_least(l, "l", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_at_least(seed, "seed", 0))
     rows = np.zeros((l, dag.n), dtype=np.min_scalar_type(max(dag.cards) - 1), order="F")
     nodes = [
         ([p - 1 for p in dag.parents[j - 1]], dag.parent_cards(j), np.cumsum(dag.cpts[j - 1], axis=1).T.copy())
@@ -237,70 +240,51 @@ def sample(dag: DiscreteDag, l: int, seed) -> SampleMatrix:
     return SampleMatrix(dag.cards, rows)
 
 
-def _word_columns(cards) -> list[list[int]]:
-    """The columns (0-based) packed into each int64 word of a row code:
-    consecutive columns, as many per word as keep the product of their
-    cardinalities below 2**63."""
-    words, width = [], 2**63  # the first column starts a word
-    for j, c in enumerate(cards):
-        if width * c >= 2**63:
-            words.append([])
-            width = 1
-        words[-1].append(j)
-        width *= c
-    return words
-
-
 def _distinct_rows(rows, cards) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``rows`` as an (n, m) array of its dtype, one
     variable per row, and the multiplicity of each as float64 weights.
 
-    Each row is packed in mixed radix over ``cards`` into int64 words
-    (``_word_columns``), built as the intp codes of ``_tuple_codes``. A row
-    of one word, as every row of at most 62 bits is, is sorted in place as
-    that code; several words are ordered by one ``np.lexsort`` over the
-    words. Equal neighbours then merge into one distinct row, decoded from
-    its words by integer division, whose weight is the length of its run.
-    The distinct rows come out in code order.
+    A row of at most 62 bits, or any row whose cardinalities multiply to
+    less than 2**63, is packed in mixed radix over ``cards`` into one int64
+    code, built as the intp code of ``_tuple_codes`` and sorted in place.
+    Equal neighbours then merge into one distinct row, decoded from its
+    code by integer division, whose weight is the length of its run. The
+    distinct rows come out in code order.
+
+    Wider rows are returned as drawn: ``rows.T``, a view, with weight 1
+    each (see ``tuple_frequencies``).
     """
     l, dtype = rows.shape[0], rows.dtype
-    if dtype == np.uint64:  # int64 codes: a column alone in its word may wrap
+    if math.prod(cards) >= 2**63:
+        return rows.T, np.ones(l)
+    if dtype == np.uint64:  # int64 codes: a uint64 column cannot be added in place
         rows = rows.view(np.int64)
-    packing = _word_columns(cards)
-    words = [_tuple_codes(rows, cols, [cards[c] for c in cols]) for cols in packing]
+    code = _tuple_codes(rows, range(len(cards)), cards)
+    code.sort()
     new = np.empty(l, dtype=bool)
     new[:1] = True
-    if len(words) == 1:
-        code = words[0]
-        code.sort()
-        np.not_equal(code[1:], code[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        codes = [code[starts]]
-    else:
-        order = np.lexsort(words[::-1])
-        sorted_code = np.empty_like(words[0])
-        new[1:] = False
-        for code in words:
-            np.take(code, order, out=sorted_code, mode="clip")  # "raise" would buffer the out
-            new[1:] |= sorted_code[1:] != sorted_code[:-1]
-        starts = np.flatnonzero(new)
-        codes = [code[order[starts]] for code in words]
+    np.not_equal(code[1:], code[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    code = code[starts]
     distinct = np.empty((len(cards), starts.size), dtype=dtype)
-    for cols, code in zip(packing, codes):
-        for c in cols[:0:-1]:
-            # a floor division by a scalar runs several times faster than np.divmod
-            quotient = code // cards[c]
-            code -= quotient * cards[c]
-            distinct[c] = code
-            code = quotient
-        distinct[cols[0]] = code
+    for c in range(len(cards) - 1, 0, -1):
+        # a floor division by a scalar runs several times faster than np.divmod
+        quotient = code // cards[c]
+        code -= quotient * cards[c]
+        distinct[c] = code
+        code = quotient
+    distinct[0] = code
     return distinct, np.diff(starts, append=l).astype(np.float64)
 
 
 def tuple_frequencies(samples: SampleMatrix, k: int) -> FrequencyTable:
     """The k-tuple counts of ``samples``, each counted on first use.
 
-    The sort into distinct rows does not pay when nearly every row is
+    A sample whose cardinalities multiply to 2**63 or more is counted as
+    drawn, with no copy of its rows: such rows hardly repeat (every row
+    of 2e4 drawn from ``random_dag(64, 2, 2, 0)`` is distinct), so a sort
+    would merge nothing. Any narrower sample is first reduced to its
+    distinct rows. That sort does not pay either when nearly every row is
     distinct and the sets are few: on a 2-core Xeon, the 20 position sets
     (n=6, k=3) of 2e5 all-distinct rows of cardinality 40 take 54-58 ms,
     against 31-33 ms for a Horner code of all l rows per set.

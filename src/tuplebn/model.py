@@ -266,7 +266,7 @@ def random_dag(
     if not (floor >= 0 and floor * max(cards) < 1):
         raise ValueError(f"floor {floor} incompatible with cardinalities {cards}")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_at_least(seed, "seed", 0))
     parents = []
     cpts = []
     for j in range(1, n + 1):

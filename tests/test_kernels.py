@@ -18,7 +18,7 @@ from tuplebn import (
     sample,
     tuple_frequencies,
 )
-from tuplebn.estimation import _SAMPLE_CHUNK, _distinct_rows, _inverse_cdf, _word_columns
+from tuplebn.estimation import _SAMPLE_CHUNK, _distinct_rows, _inverse_cdf
 from tuplebn.experiment import _cylinder_tables, _max_frequency_deviation
 from tuplebn.oracle import _FOLD_ENTRIES
 
@@ -107,13 +107,13 @@ def repeated_rows(cards, l, patterns, seed):
 
 
 # cardinalities whose product lands just below 2**63 (by 2.1e11), so a row
-# fills one int64 word of row code, and at 2**63, so it needs two; a product
-# of 2**63 - 1 is the largest one word holds
+# fills one int64 row code, and at 2**63, the first product whose rows are
+# counted as drawn; a product of 2**63 - 1 is the largest one code holds
 CARDS_BELOW_2_63 = (592, 614, 511, 498, 483, 511, 404)
 CARDS_AT_2_63 = (512,) * 7
 CARDS_2_63_MINUS_1 = (7, 7, 73, 127, 337, 92737, 649657)
-# 64 binary columns pack into two words; these rows share a few first
-# words and differ in the second
+# 64 binary columns; these rows share a few values of the first 62 columns
+# and differ in the last two
 TWO_WORD_ROWS = np.column_stack([repeated_rows((2,) * 62, 3000, 4, 18), random_rows((2, 2), 3000, 19)])
 
 EQUIVALENCE_CASES = {
@@ -305,6 +305,11 @@ def test_distinct_rows_match_unique_rows(name):
     cards, rows = DISTINCT_CASES[name]
     s = SampleMatrix(cards, rows)
     distinct, weights = _distinct_rows(s.rows, s.cards)
+    if math.prod(cards) >= 2**63:
+        # wider than one int64 code: the rows as drawn, each of weight 1
+        assert np.shares_memory(distinct, s.rows) and np.array_equal(distinct, s.rows.T)
+        assert weights.dtype == np.float64 and weights.tolist() == [1.0] * s.l
+        return
     values, counts = np.unique(s.rows, axis=0, return_counts=True)
     assert distinct.dtype == s.rows.dtype and weights.dtype == np.float64
     assert distinct.shape == (s.n, len(values)) and weights.shape == (len(values),)
@@ -312,17 +317,6 @@ def test_distinct_rows_match_unique_rows(name):
     assert sorted(zip(map(tuple, distinct.T.tolist()), weights.tolist())) == sorted(
         zip(map(tuple, values.tolist()), counts.astype(np.float64).tolist())
     )
-
-
-def test_row_code_words():
-    # as many columns per word as keep the product of their cardinalities
-    # below 2**63; a row of at most 62 bits is one word
-    assert _word_columns(CARDS_BELOW_2_63) == _word_columns(CARDS_2_63_MINUS_1) == [list(range(7))]
-    assert _word_columns(CARDS_AT_2_63) == [list(range(6)), [6]]
-    assert _word_columns((2,) * 62) == [list(range(62))]
-    assert _word_columns((2,) * 63) == [list(range(62)), [62]]
-    assert _word_columns((2,) * 64) == [list(range(62)), [62, 63]]
-    assert _word_columns((1, 2**63, 1, 2)) == [[0], [1], [2, 3]]
 
 
 def test_sample_peak_memory_is_bounded_by_the_block():
@@ -341,19 +335,15 @@ def test_sample_peak_memory_is_bounded_by_the_block():
     assert 2 * _SAMPLE_CHUNK * dag.n * 8 <= 2 << 20
 
 
-def test_distinct_rows_peak_memory_per_row_over_several_words():
-    # with W words a row holds its W int64 codes (8W bytes), the lexsort
-    # order (8), one word gathered into that order (8), the run-start
-    # flags (1) and one comparison of neighbours (1): 8W + 18 bytes. The
-    # rows repeat, so what grows with the distinct rows stays below the
-    # one byte a row left over.
+def test_tuple_frequencies_counts_wide_rows_as_drawn():
+    # rows of 100 bits are not copied: the one allocation that grows with
+    # l is a float64 weight a row, 8 bytes
     s = SampleMatrix((2,) * 100, repeated_rows((2,) * 100, 200_000, 500, 15))
-    words = len(_word_columns(s.cards))
-    assert words == 2
     tracemalloc.start()
     try:
-        _distinct_rows(s.rows, s.cards)
+        freq = tuple_frequencies(s, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (8 * words + 19) * s.l
+    assert np.shares_memory(freq.distinct, s.rows)
+    assert peak < 9 * s.l

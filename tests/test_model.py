@@ -16,6 +16,7 @@ from tuplebn import (
     factorized_joint,
     load_dag,
     random_dag,
+    sample,
     save_dag,
 )
 
@@ -210,6 +211,17 @@ def test_random_dag_refuses_non_numbers_by_name(name, value):
     with pytest.raises(ValueError, match=f"^{name}: expected a number, got"):
         random_dag(3, 1, 2, 0, **{name: value})
     assert random_dag(3, 1, 2, 0, **{name: np.float64(0.5) if name == "alpha" else 0}) is not None
+
+
+@pytest.mark.parametrize("seed", [True, -1, 1.5])
+@pytest.mark.parametrize("draw", ["random_dag", "sample"])
+def test_seeds_are_read_by_the_integer_rule(chain_dag, draw, seed):
+    # numpy would run True as seed 1, and name neither -1 nor 1.5 as the seed
+    with pytest.raises(ValueError, match="^seed"):
+        if draw == "random_dag":
+            random_dag(3, 1, 2, seed)
+        else:
+            sample(chain_dag, 10, seed)
 
 
 @pytest.mark.parametrize("card", [np.int64(2), np.uint8(2), 2])
