@@ -6,6 +6,9 @@ bounds, witness, experiment. Exit codes are a stable contract: 0 success,
 admissible parent set at the given in-degree bound). argparse normally
 exits 2 on usage errors, which would collide with the model-violation code,
 so the parser here exits 1 instead.
+
+``main`` looks up ``cmd_<command>`` in this module when it runs, not in the
+cached parser, so a handler replaced on the module (as a tracer does) runs.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -26,11 +30,10 @@ from .estimation import (
     save_samples,
     tuple_frequencies,
 )
-from .model import _dump_json, _write_json, factorized_joint, load_dag, random_dag, save_dag
+from .model import _json_pieces, _write_json, factorized_joint, load_dag, random_dag, save_dag
 from .oracle import is_markov_relative
 from .recovery import (
     ModelViolationError,
-    _check_epsilon,
     _empirical_threshold,
     _tuple_budget,
     _usable_tuple_size,
@@ -119,24 +122,20 @@ def cmd_recover(args) -> int:
     if args.mode == "exact":
         if not args.dag:
             raise ValueError("--dag is required in exact mode")
-        dag = load_dag(args.dag)
-        joint = factorized_joint(dag)
+        joint = factorized_joint(load_dag(args.dag))
         decider = exact_ci_decider(joint, args.delta)
-        provider = decider.provider
-        n = dag.n
     else:
         if not args.samples:
             raise ValueError("--samples is required in empirical mode")
         if args.epsilon is None:
             raise ValueError("--epsilon is required in empirical mode")
-        _check_epsilon(args.epsilon)  # before the samples are read
+        threshold = _empirical_threshold(args.epsilon)  # before the samples are read
         cards = _parse_cards(args.cards) if args.cards else None
         samples = load_samples(args.samples, cards)
-        n = samples.n
-        freq = tuple_frequencies(samples, _usable_tuple_size(args.delta, n))
-        provider = EmpiricalMarginalProvider(freq)
-        decider = empirical_ci_decider(provider, args.epsilon)
-    skeleton, trace = recover_structure(decider, n, args.delta)
+        freq = tuple_frequencies(samples, _usable_tuple_size(args.delta, samples.n))
+        decider = empirical_ci_decider(EmpiricalMarginalProvider(freq), args.epsilon)
+    provider = decider.provider
+    skeleton, trace = recover_structure(decider, provider.n, args.delta)
     result = attach_cpts(skeleton, provider)
     save_dag(result.dag, args.output)
     if args.trace:
@@ -146,7 +145,7 @@ def cmd_recover(args) -> int:
         print(f"markov-compatible: {str(ok).lower()} (tolerance {MARKOV_CHECK_TOL})")
     else:
         print(
-            f"decider: empirical, epsilon={args.epsilon}, dependence threshold={_empirical_threshold(args.epsilon)}"
+            f"decider: empirical, epsilon={args.epsilon}, dependence threshold={threshold}"
             f" ({len(result.uniform_rows)} zero-mass rows made uniform)"
         )
     log = provider.access_log
@@ -175,7 +174,7 @@ def cmd_bounds(args) -> int:
     }
     with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as f:
         if args.format == "json":
-            _dump_json(report, f)
+            f.writelines(_json_pieces(report))
         else:
             f.writelines(f"{key}: {value}\n" for key, value in report.items())
     return EXIT_OK
@@ -214,6 +213,7 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="tuplebn", description="Bounded in-degree network tools: sampling, recovery, VC bounds.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -228,21 +228,18 @@ def build_parser() -> _Parser:
     p.add_argument("--floor", type=float, default=0.01, help="minimum CPT entry")
     p.add_argument("--seed", type=_non_negative, required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("sample", help="draw records from a network into CSV")
     p.add_argument("--dag", required=True, help="network JSON file")
     p.add_argument("--l", type=int, required=True, help="number of records")
     p.add_argument("--seed", type=_non_negative, required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("estimate", help="count k-tuple frequencies from samples")
     p.add_argument("--samples", required=True, help="samples CSV file")
     p.add_argument("--k", type=int, required=True, help="tuple size")
     p.add_argument("--cards", help="override inferred cardinalities, e.g. 2,3,2")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("recover", help="reconstruct parent sets from a network or samples")
     p.add_argument("--mode", choices=["exact", "empirical"], required=True)
@@ -253,7 +250,6 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, help="frequency uncertainty (empirical mode)")
     p.add_argument("--trace", help="write the per-node search trace to this JSON file")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("bounds", help="cylinder counts, VC bounds, and sample-size solvers")
     p.add_argument("--n", type=int, required=True)
@@ -263,20 +259,17 @@ def build_parser() -> _Parser:
     p.add_argument("--delta-risk", type=float, required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--output", help="write the report here instead of stdout")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("witness", help="build and verify a shattered point set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--value-pairs", help="per-position pairs, e.g. 0:1,0:2 (default 0:1 everywhere)")
     p.add_argument("--output", help="write witness + certificates JSON here")
-    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("experiment", help="run the seeded trial grid from a JSON config")
     p.add_argument("--config", required=True, help="ExperimentConfig JSON file")
     p.add_argument("--output-dir", help="override the config's output directory")
     p.add_argument("--timings", action="store_true", help="also write per-cell wall times")
-    p.set_defaults(func=cmd_experiment)
 
     return parser
 
@@ -288,7 +281,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ModelViolationError as exc:
         print(f"model-violation: {exc}", file=sys.stderr)
         return EXIT_MODEL_VIOLATION

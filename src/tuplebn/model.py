@@ -400,11 +400,6 @@ def _json_pieces(data):
     return _indented(json.dumps(data, separators=(",", ":")).encode())
 
 
-def _dump_json(data, f) -> None:
-    """``data`` to the open text file ``f`` in the one JSON layout."""
-    f.writelines(_json_pieces(data))
-
-
 def _write_json(data, path) -> None:
     """``data`` to ``path`` in the one JSON layout; a value json cannot
     encode raises before the file is opened, so an old file keeps its bytes."""

@@ -116,21 +116,15 @@ def empirical_ci_decider(provider, epsilon: float) -> ProviderCiDecider:
 
 def _empirical_threshold(epsilon: float) -> float:
     """4*epsilon, the worst-case first-order propagation of a uniform
-    frequency error epsilon through the dependence statistic. An epsilon of
-    0.25 or more, whose threshold reaches 1, is refused: it would skip every
-    context and judge every pair independent."""
-    return 4.0 * _check_epsilon(epsilon)
-
-
-def _check_epsilon(epsilon: float) -> float:
-    """``epsilon`` if the empirical decider accepts it: finite and in
-    (0, 0.25). The CLI calls it before it reads any sample."""
+    frequency error epsilon through the dependence statistic. Epsilon must be
+    finite and below 0.25, where the threshold reaches 1 and every context
+    would be skipped; the CLI calls this before it reads any sample."""
     epsilon = _real_in(epsilon, "epsilon")
     if epsilon >= _EPSILON_LIMIT:
         raise ValueError(
             f"epsilon must be in (0, {_EPSILON_LIMIT}), so that the threshold 4*epsilon is below 1, got {epsilon}"
         )
-    return epsilon
+    return 4.0 * epsilon
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import pytest
 
 import tuplebn
 from tuplebn import dag_to_dict, load_dag, load_samples, save_dag
+from tuplebn import cli
 from tuplebn.cli import EXIT_MODEL_VIOLATION, EXIT_OK, EXIT_USAGE, main
 from tuplebn import experiment
 from tuplebn.experiment import ExperimentConfig, TrialReport, summarize
@@ -71,6 +72,18 @@ def test_sample_then_estimate(tmp_path):
     assert run(["estimate", "--samples", str(csv_path), "--k", "2", "--output", str(freq_path)]) == EXIT_OK
     data = json.loads(freq_path.read_text())
     assert data["k"] == 2 and data["l"] == 500
+
+
+def test_cards_option_overrides_the_inferred_cards(tmp_path):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("x1,x2\n0,0\n1,1\n0,1\n1,1\n")
+    freq_path, out = tmp_path / "freq.json", tmp_path / "rec.json"
+    assert run(["estimate", "--samples", str(csv_path), "--k", "2", "--cards", "3,4",
+                "--output", str(freq_path)]) == EXIT_OK
+    assert json.loads(freq_path.read_text())["cards"] == [3, 4]
+    assert run(["recover", "--mode", "empirical", "--samples", str(csv_path), "--cards", "3,4",
+                "--delta", "1", "--epsilon", "0.1", "--output", str(out)]) == EXIT_OK
+    assert load_dag(out).cards == (3, 4)
 
 
 def test_sample_rejects_invalid_dag(tmp_path, chain_dag, capsys):
@@ -284,6 +297,18 @@ def test_usage_errors_exit_1(capsys):
     assert run([]) == EXIT_USAGE
     assert run(["generate", "--n", "3"]) == EXIT_USAGE  # missing required flags
     capsys.readouterr()
+
+
+def test_commands_are_looked_up_by_name_when_they_run(capsys, monkeypatch):
+    # the parser is built once; a handler replaced after that still runs
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["bounds", "--n", "4", "--k", "2", "--d", "2", "--epsilon", "0.2", "--delta-risk", "0.1"]
+    assert run(argv) == EXIT_OK
+    assert "l_suff: " in capsys.readouterr().out
+    seen = []
+    monkeypatch.setattr(cli, "cmd_bounds", lambda args: seen.append(args.n) or EXIT_OK)
+    assert run(argv) == EXIT_OK
+    assert seen == [4] and capsys.readouterr().out == ""
 
 
 def test_version_exits_zero(capsys):

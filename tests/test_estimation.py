@@ -152,6 +152,27 @@ def test_tuple_frequencies_sparse_only_realized_keys():
     assert frequencies_to_dict(freq)["counts"] == [{"positions": [1, 2], "values": [0, 0], "count": 1}]
 
 
+def test_tuple_frequencies_count_a_uint64_sample():
+    # a cardinality of 2**40 keeps the rows in uint64, which numpy adds into
+    # no int64 code in place
+    s = SampleMatrix((3, 2**40, 2), [[1, 5, 1], [2, 7, 0]])
+    assert s.rows.dtype == np.uint64
+    freq = tuple_frequencies(s, 2)
+    assert freq.dense_counts((1, 3)).tolist() == [0, 0, 0, 1, 1, 0]
+    assert EmpiricalMarginalProvider(freq).table((1, 3)).tolist() == [0, 0, 0, 0.5, 0.5, 0]
+
+
+def test_tuple_frequencies_count_a_uint64_samples_file(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("x1,x2,x3\n0,5000000000,1\n1,4999999999,0\n2,7,1\n")
+    s = load_samples(path)
+    assert s.rows.dtype == np.uint64 and s.cards == (3, 5000000001, 2)
+    values, counts = np.unique(s.rows[:, [0, 2]].astype(np.int64), axis=0, return_counts=True)
+    expected = np.zeros(6, dtype=np.int64)
+    expected[np.ravel_multi_index(values.T, (3, 2))] = counts
+    assert tuple_frequencies(s, 2).dense_counts((1, 3)).tolist() == expected.tolist()
+
+
 @pytest.mark.parametrize("positions", [(2, 1), (0, 3), (1, 1), (1,), (1, 2, 3), (1.7, 2.9), (1, 3.0), (True, 2)])
 def test_dense_counts_rejects_other_than_a_stored_position_set(chain_dag, positions):
     freq = tuple_frequencies(sample(chain_dag, 50, seed=0), 2)

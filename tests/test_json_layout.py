@@ -1,7 +1,6 @@
 """The one JSON layout every file the package writes shares: the text of
 ``json.dumps(data, indent=2)`` and a final newline, byte for byte."""
 
-import io
 import json
 import math
 import tracemalloc
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 from tuplebn import model, save_witness, shatter_witness, verify_shattered
 from tuplebn.cli import EXIT_OK, main
-from tuplebn.model import _dump_json, _write_json
+from tuplebn.model import _json_pieces, _write_json
 
 
 def reference(data) -> str:
@@ -22,9 +21,7 @@ def reference(data) -> str:
 
 
 def dumped(data) -> str:
-    f = io.StringIO()
-    _dump_json(data, f)
-    return f.getvalue()
+    return "".join(_json_pieces(data))
 
 
 # every byte the layout reads, plus escapes, control characters and non-ASCII
