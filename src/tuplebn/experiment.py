@@ -41,7 +41,7 @@ from .model import (
     factorized_joint,
     random_dag,
 )
-from .oracle import _FOLD_ENTRIES, _fold_index, _scatter_fold, is_markov_relative
+from .oracle import _fold_index, _scatter_fold, is_markov_relative
 from .recovery import (
     _EPSILON_LIMIT,
     ModelViolationError,
@@ -79,6 +79,15 @@ _MARKOV_TOL = 1e-2
 
 # the defaults of the fields a config file may leave out
 _OPTIONAL = {"cards": None, "alpha": 1.0, "floor": 0.01, "markov_tol": _MARKOV_TOL}
+
+# Prefix entries per call when the deviation sweep folds a chunk of kept
+# sets with oracle._scatter_fold, each set repeating the prefix once; a
+# larger prefix is folded one set a call. The values do not depend on this
+# value; it bounds a call's temporaries whatever the number of sets. The
+# repeated prefix takes 8 bytes an entry, the cell index at most 2, and the
+# folded cells, at most half as many as entries for all but one set of an
+# m, about 4 more: under 512 KiB a call, which stays in the L2 cache.
+_FOLD_ENTRIES = 1 << 15
 
 
 def _ruled(read, ok, rule):

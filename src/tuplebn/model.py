@@ -222,23 +222,26 @@ def _violations(dag: DiscreteDag) -> list[Violation]:
 
 
 def factorized_joint(dag: DiscreteDag) -> JointTable:
-    """Exact joint obtained by multiplying the per-node conditional tables.
-
-    Guarded by ``JOINT_CAPACITY`` on the number of dense entries.
+    """Exact joint: ``_factor_product`` of the network's CPTs, the product
+    ``oracle.is_markov_relative`` also checks a joint against. Guarded by
+    ``JOINT_CAPACITY`` on the number of dense entries.
     """
     total = math.prod(dag.cards)
     if total > JOINT_CAPACITY:
-        raise CapacityError(
-            f"dense joint needs {total} entries, above the capacity guard {JOINT_CAPACITY}"
-        )
-    probs = np.ones(dag.cards, dtype=np.float64)
-    for j in range(1, dag.n + 1):
-        axes = (*dag.parents[j - 1], j)
+        raise CapacityError(f"dense joint needs {total} entries, above the capacity guard {JOINT_CAPACITY}")
+    return JointTable(dag.cards, _factor_product(dag.cards, dag.parents, dag.cpts))
+
+
+def _factor_product(cards, parents, tables) -> np.ndarray:
+    """Ones over ``cards`` times each node's (parent configurations, d_j) table on its (*parents, j) axes."""
+    probs = np.ones(cards, dtype=np.float64)
+    for j, table in enumerate(tables, start=1):
+        axes = (*parents[j - 1], j)
         # a CPT is row-major over its parents in increasing order, then j,
         # so it reshapes straight onto those axes of the joint
-        shape = [c if a in axes else 1 for a, c in enumerate(dag.cards, start=1)]
-        probs *= dag.cpts[j - 1].reshape(shape)
-    return JointTable(dag.cards, probs.reshape(-1))
+        shape = [c if a in axes else 1 for a, c in enumerate(cards, start=1)]
+        probs *= table.reshape(shape)
+    return probs
 
 
 def random_dag(

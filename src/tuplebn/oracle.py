@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _BOOLS, JointTable, DiscreteDag, _at_least, _real_in
+from .model import _BOOLS, JointTable, DiscreteDag, _at_least, _factor_product, _real_in
 
 __all__ = [
     "EXACT_TOL",
@@ -41,15 +41,6 @@ __all__ = [
 ]
 
 EXACT_TOL = 1e-9
-
-# Prefix entries per call when the deviation sweep folds a chunk of kept
-# sets with _scatter_fold, each set repeating the prefix once; a larger
-# prefix is folded one set a call. The values do not depend on this value;
-# it bounds a call's temporaries whatever the number of sets. The repeated
-# prefix takes 8 bytes an entry, the cell index at most 2, and the folded
-# cells, at most half as many as entries for all but one set of an m,
-# about 4 more: under 512 KiB a call, which stays in the L2 cache.
-_FOLD_ENTRIES = 1 << 15
 
 
 class TupleSizeError(ValueError):
@@ -204,25 +195,23 @@ def _statistic(provider, X, L, K, skip_below: float) -> float:
 
 
 def is_markov_relative(joint: JointTable, dag: DiscreteDag, tol: float = EXACT_TOL) -> bool:
-    """True iff the joint factorizes over the DAG's parent sets.
-
-    The per-node conditionals are computed from the joint itself. A parent
-    configuration of zero marginal mass gets a zero conditional: every joint
-    entry under it is a term of that zero sum of non-negative values, so it
-    is exactly 0 too and the two sides agree there.
+    """True iff the joint is within ``tol`` of ``model._factor_product``,
+    which also builds ``factorized_joint``, of the DAG's conditionals read
+    from the joint: each node's ``(*parents, j)`` marginal as a (parent
+    configurations, d_j) table, each row divided by its sum. A row of zero
+    sum gets a zero conditional: every joint entry under it is a term of
+    that zero sum of non-negative values, so it is exactly 0 too.
     """
     tol = _real_in(tol, "tol", zero=True)
     if dag.cards != joint.cards:
         raise ValueError(f"shape mismatch: dag cards {dag.cards} vs joint cards {joint.cards}")
-    full = joint.array
-    product = np.ones_like(full)
-    for j in range(1, joint.n + 1):
-        union = (*dag.parents[j - 1], j)
-        shape = [c if a in union else 1 for a, c in enumerate(joint.cards, start=1)]
-        m_union = marginal(joint, union).reshape(shape)
-        m_par = m_union.sum(axis=j - 1, keepdims=True)
-        product *= np.divide(m_union, m_par, out=np.zeros_like(m_union), where=m_par > 0)
-    np.subtract(full, product, out=product)
+    tables = []
+    for j, ps in enumerate(dag.parents, start=1):
+        m_union = marginal(joint, (*ps, j)).reshape(-1, joint.cards[j - 1])
+        m_par = m_union.sum(axis=1, keepdims=True)
+        tables.append(np.divide(m_union, m_par, out=np.zeros_like(m_union), where=m_par > 0))
+    product = _factor_product(joint.cards, dag.parents, tables)
+    np.subtract(joint.array, product, out=product)
     np.abs(product, out=product)
     return bool(product.max() <= tol)
 

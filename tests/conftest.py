@@ -4,6 +4,13 @@ import pytest
 from tuplebn import DiscreteDag, factorized_joint
 
 
+def full_sum_marginal(joint, pos):
+    """Reference: one numpy sum of the dense joint over every axis not in
+    pos, flat. ``marginal`` must give these values bit for bit."""
+    drop = tuple(a for a in range(joint.n) if a + 1 not in pos)
+    return np.ascontiguousarray(joint.array.sum(axis=drop) if drop else joint.array).reshape(-1)
+
+
 @pytest.fixture
 def chain_dag():
     # X1 -> X2 -> X3 with strictly positive CPTs

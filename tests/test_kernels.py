@@ -19,8 +19,9 @@ from tuplebn import (
     tuple_frequencies,
 )
 from tuplebn.estimation import _SAMPLE_CHUNK, _distinct_rows, _inverse_cdf
-from tuplebn.experiment import _cylinder_tables, _max_frequency_deviation
-from tuplebn.oracle import _FOLD_ENTRIES
+from tuplebn.experiment import _FOLD_ENTRIES, _cylinder_tables, _max_frequency_deviation
+
+from conftest import full_sum_marginal
 
 
 def test_sample_node_boundary_uniform():
@@ -180,13 +181,6 @@ def test_counts_do_not_depend_on_query_order(seed):
     assert sorted(freq.counts) == list(per_set_counts(s, 4))
 
 
-def full_sum_marginal(joint, pos):
-    """Reference: one numpy sum of the dense joint over every axis not in
-    pos, flat."""
-    drop = tuple(a for a in range(joint.n) if a + 1 not in pos)
-    return np.ascontiguousarray(joint.array.sum(axis=drop) if drop else joint.array).reshape(-1)
-
-
 @pytest.mark.parametrize("n, cards, l", [
     (12, 2, 20_000),
     (8, (2, 3, 1, 4, 2, 3, 2, 5), 5_000),
@@ -256,7 +250,7 @@ def test_cylinder_tables_match_each_set(n, cards, k, l):
 @pytest.mark.parametrize("n", [12, 14])
 def test_max_frequency_deviation_peak_memory_is_bounded_by_the_chunk(n):
     # a fold call holds under 18 bytes for each of its _FOLD_ENTRIES prefix
-    # entries (see oracle._FOLD_ENTRIES). The sweep reads one m at a time:
+    # entries (see experiment._FOLD_ENTRIES). The sweep reads one m at a time:
     # its counts over 1..m take 8 bytes for each of at most 2**14 entries
     # until only their nonzero entries and positions are kept, 16 bytes for
     # each of at most 2,000, one per row: under 32 * 8192 bytes. C(n, k)

@@ -23,6 +23,8 @@ from tuplebn import (
 )
 from tuplebn.oracle import _fold_index, _scatter_fold
 
+from conftest import full_sum_marginal
+
 
 def exact_independent(joint, X, Y, Z):
     return ProviderCiDecider(ExactMarginalProvider(joint, joint.n), EXACT_TOL).decide(X, Y, Z)
@@ -76,15 +78,6 @@ def test_fractional_positions_are_refused_not_truncated(chain_joint):
     )
 
 
-def old_marginal_probs(joint, pos):
-    """Reference: one numpy sum of the dense joint over every axis not in
-    pos. marginal must give these values bit for bit."""
-    keep = set(p - 1 for p in pos)
-    drop = tuple(a for a in range(joint.n) if a not in keep)
-    probs = joint.array.sum(axis=drop) if drop else joint.array
-    return np.ascontiguousarray(probs).reshape(-1)
-
-
 @pytest.mark.parametrize("cards, seed", [
     ((2,) * 8, 0),
     ((3,) * 7, 1),
@@ -102,7 +95,7 @@ def test_marginal_bit_identical_to_full_sum(cards, seed):
     k_max = 5 if joint.n < 9 else 3  # the large joints read fewer sets, to keep the test short
     for k in range(1, k_max + 1):
         for pos in itertools.combinations(range(1, joint.n + 1), k):
-            expected = old_marginal_probs(joint, pos).tobytes()
+            expected = full_sum_marginal(joint, pos).tobytes()
             m = marginal(joint, pos)
             assert m.tobytes() == expected, pos
             assert not m.flags.writeable
@@ -130,7 +123,7 @@ def test_marginal_keeps_negative_zero(n):
     joint = negative_zero_joint(n)
     for pos in [(3, n), (n,), (1, 2, n)]:
         m = marginal(joint, pos)
-        assert m.tobytes() == old_marginal_probs(joint, pos).tobytes(), pos
+        assert m.tobytes() == full_sum_marginal(joint, pos).tobytes(), pos
 
 
 @pytest.mark.parametrize("make", [
@@ -151,7 +144,7 @@ def test_scatter_fold_of_many_sets_matches_each_set(make):
         prefix = joint.prefix(m)
         kept = [[p - 1 for p in pos if p <= m] for pos in sets]
         folded = _scatter_fold(prefix, *_fold_index(joint.cards[:m], kept))
-        expected = np.concatenate([old_marginal_probs(joint, pos) for pos in sets])
+        expected = np.concatenate([full_sum_marginal(joint, pos) for pos in sets])
         assert folded.tobytes() == expected.tobytes(), m
 
 

@@ -4,7 +4,8 @@
 ``attach_cpts`` divides with a ``where=`` mask. Both are checked here
 against the earlier loop and skip-mask forms, kept below as references, on
 networks whose CPTs have zero entries, so that some parent configurations
-never occur.
+never occur. The product ``is_markov_relative`` checks against, which
+``model._factor_product`` builds, must have the reference's bits.
 """
 
 import itertools
@@ -31,13 +32,16 @@ from tuplebn import (
     tuple_frequencies,
 )
 from tuplebn.cli import EXIT_OK, main
+from tuplebn.model import _factor_product
 
 CARDS = (2, 3, 2, 2, 3, 2)
 DELTA = 2
 
 
 def reference_is_markov_relative(joint, dag, tol):
-    """The skip-mask form: configurations of zero parent mass are masked out."""
+    """The skip-mask form: configurations of zero parent mass are masked out.
+    Returns the answer, the product of the conditionals and d, the largest
+    |P - Q| of the joint P and that product Q."""
     full = joint.array
     product = np.ones_like(full)
     skip = np.zeros(full.shape, dtype=bool)
@@ -50,9 +54,19 @@ def reference_is_markov_relative(joint, dag, tol):
         cond = np.divide(m_union, np.where(safe, m_par, 1.0))
         product *= np.where(np.broadcast_to(safe, cond.shape), cond, 0.0)
         skip |= ~safe
-    np.subtract(full, product, out=product)
-    np.abs(product, out=product)
-    return bool(np.all((product <= tol) | skip))
+    gap = np.abs(full - product)
+    return bool(np.all((gap <= tol) | skip)), product, float(gap.max())
+
+
+def conditionals(joint, parents):
+    """Each node's (*parents, j) marginal as a (parent configurations, d_j)
+    table, each row divided by its sum, 0 where that sum is 0."""
+    tables = []
+    for j, ps in enumerate(parents, start=1):
+        rows = marginal(joint, (*ps, j)).reshape(-1, joint.cards[j - 1])
+        sums = rows.sum(axis=1, keepdims=True)
+        tables.append(np.divide(rows, sums, out=np.zeros_like(rows), where=sums > 0))
+    return tables
 
 
 def reference_attach_cpts(skeleton, provider):
@@ -83,9 +97,9 @@ def reference_attach_cpts(skeleton, provider):
     return cpts, tuple(flagged)
 
 
-def zeroed_dag(seed):
+def zeroed_dag(seed, cards=CARDS):
     """A random network with about 40% of its CPT entries set to 0."""
-    dag = random_dag(len(CARDS), DELTA, CARDS, seed)
+    dag = random_dag(len(cards), DELTA, cards, seed)
     rng = np.random.default_rng(seed)
     cpts = []
     for cpt in dag.cpts:
@@ -114,17 +128,27 @@ def structures(dag, recovered):
     }
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_is_markov_relative_matches_skip_mask_form(seed):
-    dag = zeroed_dag(seed)
+@pytest.mark.parametrize("cards, seed", [
+    *(pytest.param(CARDS, seed, id=str(seed)) for seed in range(8)),
+    # card-1 variables, and a node of 12 values whose row sums run past
+    # numpy's 8-element pairwise block
+    *(pytest.param((2, 1, 3, 12, 2, 2, 1), seed, id=f"mixed-cards-{seed}") for seed in range(8)),
+])
+def test_is_markov_relative_matches_skip_mask_form(cards, seed):
+    dag = zeroed_dag(seed, cards)
     joint = factorized_joint(dag)
     skeleton, _ = recover_structure(exact_ci_decider(joint, DELTA), dag.n, DELTA)
     answers = set()
     for name, parents in structures(dag, skeleton.parents).items():
         structure = probe(dag, parents)
+        _, product, d = reference_is_markov_relative(joint, structure, 0.0)
+        assert _factor_product(joint.cards, parents, conditionals(joint, parents)).tobytes() == product.tobytes(), name
+        if d > 0:
+            assert is_markov_relative(joint, structure, tol=d), name
+            assert not is_markov_relative(joint, structure, tol=np.nextafter(d, 0)), name
         for tol in (0.0, EXACT_TOL, 1e-2):
             mine = is_markov_relative(joint, structure, tol=tol)
-            assert mine == reference_is_markov_relative(joint, structure, tol), (name, tol)
+            assert mine == reference_is_markov_relative(joint, structure, tol)[0], (name, tol)
             answers.add(mine)
     assert is_markov_relative(joint, probe(dag, skeleton.parents))
     assert answers == {True, False}
