@@ -24,7 +24,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, fields
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -84,9 +84,12 @@ _OPTIONAL = {"cards": None, "alpha": 1.0, "floor": 0.01, "markov_tol": _MARKOV_T
 # sets with oracle._scatter_fold, each set repeating the prefix once; a
 # larger prefix is folded one set a call. The values do not depend on this
 # value; it bounds a call's temporaries whatever the number of sets. The
-# repeated prefix takes 8 bytes an entry, the cell index at most 2, and the
-# folded cells, at most half as many as entries for all but one set of an
-# m, about 4 more: under 512 KiB a call, which stays in the L2 cache.
+# repeated prefix takes 8 bytes an entry, the cell index that
+# _chunk_index joins at most 2 (a chunk of many sets has fewer cells than
+# entries, under 2**16), and the folded cells, at most half as many as
+# entries for all but one set of an m, about 4 more: under 512 KiB a call,
+# which stays in the L2 cache. The halves the index is joined from take a
+# few bytes for each of about the square root of a set's entries.
 _FOLD_ENTRIES = 1 << 15
 
 
@@ -219,28 +222,98 @@ def _cylinder_tables(freq, joint):
     A set's prefix is ``joint.prefix(m)``, m its last position of
     cardinality above 1, as in ``oracle.marginal``. The sets of one m are
     read ``_FOLD_ENTRIES`` prefix entries at a time, or one at a time when
-    their prefix is larger; one cell index then folds the chunk's prefix
-    and its counts, the nonzero entries of the sample's counts over 1..m.
-    The fold adds each cell's entries in prefix order from 0.0, as
-    ``marginal`` does, and the counts are exact integers, so every value
-    has the bits of ``marginal`` and ``FrequencyTable._count`` for the set
-    alone.
+    their prefix is larger. The chunk's cell index is joined from the
+    halves that ``_sweep_plan`` keeps for the grid's (cards, k)
+    (``_chunk_index``); it then folds the chunk's prefix and its counts,
+    the nonzero entries of the sample's counts over 1..m. The fold adds
+    each cell's entries in prefix order from 0.0, as ``marginal`` does, and
+    the counts are exact integers, so every value has the bits of
+    ``marginal`` and ``FrequencyTable._count`` for the set alone.
     """
-    n, cards = len(freq.cards), freq.cards
-    for m in [0] + [p for p in range(1, n + 1) if cards[p - 1] > 1]:
-        # the sets of this m: m, if not 0, and the rest from the positions
-        # before it and the positions of cardinality 1 after it
-        last = (m,) if m else ()
-        pool = [p for p in range(1, n + 1) if p < m or p > m and cards[p - 1] == 1]
-        kept = ([p - 1 for p in rest + last if p <= m] for rest in itertools.combinations(pool, freq.k - len(last)))
+    for m, halves in _sweep_plan(tuple(freq.cards), freq.k):
         prefix = joint.prefix(m)
         counts = freq._count(range(1, m + 1))
         nonzero = np.flatnonzero(counts)
         counts = counts[nonzero]
         per_call = max(1, _FOLD_ENTRIES // prefix.size)
-        for chunk in iter(lambda: list(itertools.islice(kept, per_call)), []):
-            index, cells = _fold_index(cards[:m], chunk)
+        (_, _, rows), _ = halves  # each set's row of the high half
+        for start in range(0, rows.size, per_call):
+            index, cells = _chunk_index(halves, slice(start, start + per_call))
             yield _scatter_fold(counts, index[:, nonzero], cells), _scatter_fold(prefix, index, cells)
+
+
+@lru_cache(maxsize=1)
+def _sweep_plan(cards, k):
+    """The deviation sweep's sets over ``cards``, a tuple, at tuple size
+    ``k``: per m that has sets, in the sweep's order, m and the
+    ``_set_halves`` of the sets' kept axes, in combinations order.
+
+    The plan depends on (cards, k) alone, which every cell of a grid
+    shares, so a grid builds it once and the cache holds that one plan.
+    Its ids take a byte or two a set, and its half indexes, one row for
+    each distinct half, about the square root of a prefix's entries each.
+    """
+    n, plan = len(cards), []
+    for m in [0] + [p for p in range(1, n + 1) if cards[p - 1] > 1]:
+        # the sets of this m: m, if not 0, and the rest from the positions
+        # before it and the positions of cardinality 1 after it
+        last = (m,) if m else ()
+        pool = [p for p in range(1, n + 1) if p < m or p > m and cards[p - 1] == 1]
+        if len(pool) >= k - len(last):
+            kept = ([p - 1 for p in rest + last if p <= m] for rest in itertools.combinations(pool, k - len(last)))
+            plan.append((m, _set_halves(cards[:m], kept)))
+    return tuple(plan)
+
+
+def _set_halves(cards, kept_sets):
+    """The cell indexes of ``kept_sets``, one or more lists of increasing
+    axes of a prefix over ``cards``, split where ``oracle._fold_index``
+    splits them, at h = len(cards) // 2. Per half: the distinct
+    ``_fold_index`` vectors of the sets' kept axes in it, as the rows of
+    one array, their numbers of cells, and each set's row, in the smallest
+    unsigned type that holds it.
+    """
+    h = len(cards) // 2
+    rows, ids = ({}, {}), ([], [])
+    for kept in kept_sets:
+        # a half's kept axes as the bits of an int, a key that allocates
+        # less than a tuple
+        mask = sum(1 << a for a in kept)
+        for part, row, row_ids in zip((mask & (1 << h) - 1, mask >> h), rows, ids):
+            row_ids.append(row.setdefault(part, len(row)))
+    halves = []
+    for part_cards, row, row_ids in zip((cards[:h], cards[h:]), rows, ids):
+        vectors = [_fold_index(part_cards, [a for a in range(len(part_cards)) if part >> a & 1]) for part in row]
+        halves.append((
+            np.stack([index for index, _ in vectors]),
+            np.array([cells for _, cells in vectors]),
+            np.array(row_ids, dtype=np.min_scalar_type(len(row) - 1)),
+        ))
+    return tuple(halves)
+
+
+def _chunk_index(halves, chunk):
+    """The cell index of the sets ``chunk``, a slice, of ``_set_halves``
+    ``halves``, as a (sets, entries) array, and its number of cells: each
+    row is ``oracle._fold_index`` of its set plus the cells of the sets
+    before it, in the smallest unsigned type that holds every cell.
+
+    An entry's cell is its high half's times the low half's number of
+    cells, plus the set's offset, plus its low half's: one outer sum. Each
+    operand is cast to the index's type first; a cast inside the sum's
+    ufunc is slower.
+    """
+    (high, high_cells, high_rows), (low, low_cells, low_rows) = halves
+    high_rows, low_rows = high_rows[chunk], low_rows[chunk]
+    sizes = high_cells[high_rows] * low_cells[low_rows]
+    cells = int(sizes.sum())
+    dtype = np.min_scalar_type(cells)  # a byte per entry for up to 255 cells
+    first = high[high_rows].astype(dtype)
+    first *= low_cells[low_rows, None].astype(dtype)
+    first += (np.cumsum(sizes) - sizes)[:, None].astype(dtype)
+    index = np.empty((sizes.size, high.shape[1], low.shape[1]), dtype)
+    np.add(first[:, :, None], low[low_rows].astype(dtype)[:, None, :], out=index)
+    return index.reshape(sizes.size, -1), cells
 
 
 def run_trial_cell(config: ExperimentConfig, trial: int, l_index: int) -> TrialReport:

@@ -392,15 +392,60 @@ def _json_pieces(data):
     final newline byte for byte, as an iterator of str pieces. Tuples are
     written as lists.
 
-    ``data`` is encoded here, before the iterator is returned, by the C
-    encoder into compact ASCII text, so a value json cannot encode raises
-    its TypeError or ValueError before anything is written. That text is
-    held whole (0.22 MB of the 1.0 MB shatter witness at n=2048, k=3), and
+    ``data`` is encoded here, before the iterator is returned, into compact
+    ASCII text (``_compact``), so a value json cannot encode raises its
+    TypeError or ValueError before anything is written. That text is held
+    whole (0.22 MB of the 1.0 MB shatter witness at n=2048, k=3), and
     ``_indented`` lays it out a ``_LAYOUT_BLOCK`` at a time, with under 1 MiB
-    of temporaries for the witness; the encoder's own peak, while it joins
-    its chunks, is about 3 MiB there.
+    of temporaries for the witness.
     """
-    return _indented(json.dumps(data, separators=(",", ":")).encode())
+    return _indented(_compact(data))
+
+
+_COMPACT = json.JSONEncoder(separators=(",", ":"))  # the C encoder, built once
+_ENCODE_LEVELS = 3  # levels of lists and objects that may be encoded apart from their members
+_ENCODE_SLICE = 256  # members of a larger list or object encoded a call
+
+
+def _compact(data) -> bytes:
+    """``json.dumps(data, separators=(",", ":"))`` as bytes, from one C
+    encoder call per small piece.
+
+    The encoder holds a str for each token of its text until it joins them,
+    about 3 MiB for the witness in one call. So a list, tuple or dict of
+    more than ``_ENCODE_SLICE`` members is encoded that many members a
+    call, and one that holds a list or object is, on the top
+    ``_ENCODE_LEVELS`` levels, encoded a member at a time; only the pieces'
+    bytes are held. Anything else is one call, so a cycle is met within
+    one call, which raises json's ValueError for it.
+    """
+    pieces = []
+
+    def encode(value, levels):
+        is_dict = isinstance(value, dict)
+        inner = value.values() if is_dict else value if isinstance(value, (list, tuple)) else ()
+        nested = levels and any(isinstance(v, (list, tuple, dict)) for v in inner)
+        if len(inner) <= _ENCODE_SLICE and not nested:
+            pieces.append(_COMPACT.encode(value).encode())
+            return
+        members = list(value.items()) if is_dict else value
+        pieces.append(b"{" if is_dict else b"[")
+        if len(members) > _ENCODE_SLICE:
+            for start in range(0, len(members), _ENCODE_SLICE):
+                part = members[start : start + _ENCODE_SLICE]
+                pieces.append(b"," * bool(start) + _COMPACT.encode(dict(part) if is_dict else part)[1:-1].encode())
+        else:
+            for i, member in enumerate(members):
+                if i:
+                    pieces.append(b",")
+                if is_dict:
+                    key, member = member
+                    pieces.append(_COMPACT.encode({key: 0})[1:-2].encode())  # the key's text: {key: 0} less "{" and "0}"
+                encode(member, levels - 1)
+        pieces.append(b"}" if is_dict else b"]")
+
+    encode(data, _ENCODE_LEVELS)
+    return b"".join(pieces)
 
 
 def _write_json(data, path) -> None:

@@ -10,8 +10,8 @@ recovered tables do not change with the reduction.
 
 Every fold, of one set in ``marginal`` or of a chunk of the sets of one
 m in the experiment's deviation sweep, adds the prefix into the cells of
-one index (``_fold_index``), so a set's cells have the same bits either
-way.
+one index, whose entries for a set are those of ``_fold_index``, so a
+set's cells have the same bits either way.
 
 Dependence is measured in cross-multiplied form,
 ``|P(x,y,z) * P(z) - P(x,z) * P(y,z)|``, which avoids dividing by small
@@ -106,39 +106,34 @@ def marginal(joint: JointTable, positions) -> np.ndarray:
     m = max((p for p in pos if joint.cards[p - 1] > 1), default=0)
     flat = joint.prefix(m)
     if any(a + 1 not in pos and joint.cards[a] > 1 for a in range(m)):
-        flat = _scatter_fold(flat, *_fold_index(joint.cards[:m], [[p - 1 for p in pos if p <= m]]))
+        flat = _scatter_fold(flat, *_fold_index(joint.cards[:m], [p - 1 for p in pos if p <= m]))
         flat.flags.writeable = False
     return flat
 
 
-def _fold_index(cards, kept_sets) -> tuple[np.ndarray, int]:
+def _fold_index(cards, kept) -> tuple[np.ndarray, int]:
     """The cell of each entry of a prefix, row-major over ``cards``, for
-    each of ``kept_sets``, increasing axes to keep, as a (sets, entries)
-    array, and the number of cells. A set's cells are row-major over its
-    kept axes, the sets one after another; an entry's cell is that of its
-    values on the kept axes.
+    ``kept``, increasing axes to keep, and the number of cells. The cells
+    are row-major over the kept axes; an entry's cell is that of its values
+    on them.
     """
-    sizes = [math.prod(cards[a] for a in kept) for kept in kept_sets]
-    cells = np.arange(sum(sizes), dtype=np.min_scalar_type(sum(sizes)))  # a byte per entry for up to 255 cells
+    size = math.prod(cards[a] for a in kept)
+    cells = np.arange(size, dtype=np.min_scalar_type(size))  # a byte per entry for up to 255 cells
+    # byte strides of a view of ``cells`` that steps over the cells along
+    # the kept axes and stands still along the others
+    strides, step = [0] * len(cards), cells.itemsize
+    for a in reversed(kept):
+        strides[a] = step
+        step *= cards[a]
     h = len(cards) // 2  # an entry's cell is the sum of those of its two halves
-    index = np.empty((len(sizes), math.prod(cards[:h]), math.prod(cards[h:])), dtype=cells.dtype)
-    offset = 0
-    for kept, size, entries in zip(kept_sets, sizes, index):
-        # byte strides of a view of ``cells`` that steps over the set's cells
-        # along its kept axes and stands still along the others
-        strides, step = [0] * len(cards), cells.itemsize
-        for a in reversed(kept):
-            strides[a] = step
-            step *= cards[a]
-        high = _cells(cells, cards[:h], strides[:h], offset)
-        np.add(high[:, None], _cells(cells, cards[h:], strides[h:], 0), out=entries)
-        offset += size
-    return index.reshape(len(sizes), -1), offset
+    return np.add.outer(_cells(cells, cards[:h], strides[:h]), _cells(cells, cards[h:], strides[h:])).reshape(-1), size
 
 
 def _scatter_fold(flat, index, cells) -> np.ndarray:
-    """The 1-d ``flat`` summed into ``cells`` cells by ``index``, a
-    ``_fold_index`` or some of its columns, ``flat`` repeated once per set.
+    """The 1-d ``flat`` summed into ``cells`` cells by ``index``: a
+    ``_fold_index`` of one set, or a (sets, entries) index of a chunk of
+    sets (``experiment._chunk_index``) or some of its columns, with
+    ``flat`` repeated once per set.
 
     ``np.add.at`` adds each entry to its cell in the order the entries lie,
     which for each cell is the order of numpy's row fold over the other
@@ -150,10 +145,10 @@ def _scatter_fold(flat, index, cells) -> np.ndarray:
     return out
 
 
-def _cells(cells, cards, strides, offset) -> np.ndarray:
-    """The entries of ``cells`` that a view from entry ``offset``, over
-    ``cards`` with byte ``strides``, reads, in row-major order."""
-    return np.ndarray(cards, cells.dtype, cells, offset * cells.itemsize, strides).reshape(-1)
+def _cells(cells, cards, strides) -> np.ndarray:
+    """The entries of ``cells`` that a view over ``cards`` with byte
+    ``strides`` reads, in row-major order."""
+    return np.ndarray(cards, cells.dtype, cells, 0, strides).reshape(-1)
 
 
 def dependence_statistic(provider, X, L, K, skip_below: float) -> float:

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tuplebn import model, save_witness, shatter_witness, verify_shattered
+from tuplebn import model, save_witness, shatter_witness, vcbounds, verify_shattered
 from tuplebn.cli import EXIT_OK, main
-from tuplebn.model import _json_pieces, _write_json
+from tuplebn.model import _compact, _json_pieces, _write_json
 
 
 def reference(data) -> str:
@@ -60,6 +60,15 @@ def test_layout_equals_the_indented_dump(data, block):
     # small blocks put cuts inside strings, escapes and runs of brackets
     with mock.patch.object(model, "_LAYOUT_BLOCK", block):
         assert dumped(data) == reference(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=documents, size=st.sampled_from([1, 2, 3]), levels=st.sampled_from([0, 1, 2, 3]))
+@example(data={"a": [1, (2, 3), {"b": []}], 1.5: {}, None: [[]]}, size=1, levels=4)
+def test_compact_text_in_slices_equals_the_compact_dump(data, size, levels):
+    # slices of one to three members, and levels encoded apart down to none
+    with mock.patch.object(model, "_ENCODE_SLICE", size), mock.patch.object(model, "_ENCODE_LEVELS", levels):
+        assert _compact(data) == json.dumps(data, separators=(",", ":")).encode()
 
 
 def circular():
@@ -117,6 +126,29 @@ def test_witness_file_layout_and_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured 3.14 MiB, nearly all of it the C encoder joining its chunks
-    # into the 0.22 MB compact text; the layout's blocks add under 1 MiB
+    # measured 1.44 MiB; test_witness_writer_peak_memory pins it
     assert peak < 4 * 2**20
+
+
+def test_witness_writer_peak_memory(tmp_path):
+    # one C encoder call over the whole witness held a str for each of its
+    # tokens until it joined them into the 0.22 MB compact text: 3.14 MiB.
+    # A slice of members a call holds the compact bytes, their pieces and
+    # one slice's tokens, measured 0.75 MiB; the layout's blocks then add
+    # under 1 MiB to the compact text, for 1.44 MiB in all
+    witness = shatter_witness(2048, 3)
+    result = verify_shattered(witness)
+    documents = []
+    with mock.patch.object(vcbounds, "_write_json", lambda data, path: documents.append(data)):
+        save_witness(witness, result, tmp_path / "witness.json")
+    tracemalloc.start()
+    try:
+        _compact(documents[0])
+        compact_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        save_witness(witness, result, tmp_path / "witness.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert compact_peak < 2**20
+    assert peak < 1.75 * 2**20

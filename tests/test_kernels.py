@@ -11,15 +11,18 @@ import pytest
 
 from tuplebn import (
     EmpiricalMarginalProvider,
+    ExperimentConfig,
     SampleMatrix,
     estimation,
     factorized_joint,
     random_dag,
+    run_experiment,
     sample,
     tuple_frequencies,
 )
 from tuplebn.estimation import _SAMPLE_CHUNK, _distinct_rows, _inverse_cdf
-from tuplebn.experiment import _FOLD_ENTRIES, _cylinder_tables, _max_frequency_deviation
+from tuplebn.experiment import _FOLD_ENTRIES, _chunk_index, _cylinder_tables, _max_frequency_deviation, _sweep_plan
+from tuplebn.oracle import _fold_index
 
 from conftest import full_sum_marginal
 
@@ -247,19 +250,70 @@ def test_cylinder_tables_match_each_set(n, cards, k, l):
     assert min(sizes) == 1 and max(sizes) > 1
 
 
+@pytest.mark.parametrize("cards, k, types", [
+    ((2,) * 12, 5, {"uint8", "uint16"}),
+    # cardinality-1 positions first, between and last
+    ((1, 2, 2, 1, 3, 2, 1, 2, 2, 1), 4, {"uint8", "uint16"}),
+    ((2, 1, 3, 12, 2, 2, 1), 3, {"uint8", "uint16"}),
+    # 12 values a position: a sweep chunk of one set of 12**4 cells, the
+    # four sets of m=5 in one chunk, and a sweep chunk of 12**5 cells
+    ((12,) * 5, 4, {"uint16", "uint32"}),
+    ((12,) * 5, 5, {"uint32"}),
+])
+def test_sweep_plan_chunks_match_the_fold_index_of_each_set(cards, k, types):
+    # each chunk the sweep folds, and each m's whole run of sets, must index
+    # each set's entries by its _fold_index, offset by the cells before it
+    groups = {}
+    for pos in itertools.combinations(range(1, len(cards) + 1), k):
+        m = max((p for p in pos if cards[p - 1] > 1), default=0)
+        groups.setdefault(m, []).append([p - 1 for p in pos if p <= m])
+    _sweep_plan.cache_clear()
+    plan = _sweep_plan(cards, k)
+    assert [m for m, _ in plan] == sorted(groups)
+    seen = set()
+    for m, halves in plan:
+        kept = groups[m]
+        per_call = max(1, _FOLD_ENTRIES // math.prod(cards[:m]))
+        for chunk in [slice(start, start + per_call) for start in range(0, len(kept), per_call)] + [slice(None)]:
+            index, cells = _chunk_index(halves, chunk)
+            expected, offset = [], 0
+            for one, size in (_fold_index(cards[:m], kept_set) for kept_set in kept[chunk]):
+                expected.append(one.astype(np.int64) + offset)
+                offset += size
+            assert cells == offset
+            assert index.dtype == np.min_scalar_type(cells)
+            assert np.array_equal(index, np.stack(expected))
+            seen.add(index.dtype.name)
+    assert seen == types
+
+
+def test_a_grid_builds_its_sweep_plan_once(tmp_path):
+    # the plan depends on (cards, k) alone, so both sample sizes share it
+    config = ExperimentConfig(
+        n=6, delta=1, cards=(2, 3, 2, 1, 2, 2), alpha=1.0, floor=0.01, sample_sizes=(300, 600),
+        epsilon=0.1, delta_risk=0.05, trials=1, seed=0, output_dir=str(tmp_path),
+    )
+    _sweep_plan.cache_clear()
+    run_experiment(config)
+    assert (_sweep_plan.cache_info().misses, _sweep_plan.cache_info().hits) == (1, 1)
+
+
 @pytest.mark.parametrize("n", [12, 14])
 def test_max_frequency_deviation_peak_memory_is_bounded_by_the_chunk(n):
     # a fold call holds under 18 bytes for each of its _FOLD_ENTRIES prefix
     # entries (see experiment._FOLD_ENTRIES). The sweep reads one m at a time:
     # its counts over 1..m take 8 bytes for each of at most 2**14 entries
     # until only their nonzero entries and positions are kept, 16 bytes for
-    # each of at most 2,000, one per row: under 32 * 8192 bytes. C(n, k)
-    # takes no part: 792 sets at n=12, 2,002 at n=14.
+    # each of at most 2,000, one per row: under 32 * 8192 bytes. C(n, k),
+    # 792 sets at n=12 and 2,002 at n=14, takes part only through the
+    # sweep plan, which the first sweep builds: two one-byte ids a set and
+    # the distinct half indexes, 15 KB at n=12 and 51 KB at n=14.
     dag = random_dag(n, 2, 2, seed=n)
     freq = tuple_frequencies(sample(dag, 2_000, seed=1), 5)
     joint = factorized_joint(dag)
     for m in range(n + 1):
         joint.prefix(m)  # cached on the joint, outside the sweep
+    _sweep_plan.cache_clear()  # the first sweep of a grid builds the plan
     tracemalloc.start()
     try:
         _max_frequency_deviation(freq, joint)

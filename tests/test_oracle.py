@@ -21,7 +21,8 @@ from tuplebn import (
     sample,
     tuple_frequencies,
 )
-from tuplebn.oracle import _fold_index, _scatter_fold
+from tuplebn.experiment import _chunk_index, _set_halves
+from tuplebn.oracle import _scatter_fold
 
 from conftest import full_sum_marginal
 
@@ -133,8 +134,9 @@ def test_marginal_keeps_negative_zero(n):
     lambda: factorized_joint(random_dag(7, 2, (2, 1, 3, 12, 2, 2, 1), seed=4)),
 ], ids=["negative-zero-8", "negative-zero-14", "card-1-variables", "mixed-cards"])
 def test_scatter_fold_of_many_sets_matches_each_set(make):
-    # the deviation sweep folds a chunk of the sets of one m in one call:
-    # each set's cells must have the bits of the full sum, -0.0 cells too
+    # the deviation sweep folds a chunk of the sets of one m in one call,
+    # by an index joined from the sets' halves: each set's cells must have
+    # the bits of the full sum, -0.0 cells too
     joint = make()
     groups = {}
     for k in (1, 2, 3):
@@ -143,7 +145,7 @@ def test_scatter_fold_of_many_sets_matches_each_set(make):
     for m, sets in groups.items():
         prefix = joint.prefix(m)
         kept = [[p - 1 for p in pos if p <= m] for pos in sets]
-        folded = _scatter_fold(prefix, *_fold_index(joint.cards[:m], kept))
+        folded = _scatter_fold(prefix, *_chunk_index(_set_halves(joint.cards[:m], kept), slice(None)))
         expected = np.concatenate([full_sum_marginal(joint, pos) for pos in sets])
         assert folded.tobytes() == expected.tobytes(), m
 
