@@ -328,10 +328,20 @@ def save_samples(samples: SampleMatrix, path) -> None:
     value has one digit (``max(cards) <= 10``), the block is one byte
     array of ``_grid_line`` rows whose digit bytes are set a column at a
     time to the value plus ``0``; the separators are set once. Otherwise
-    every value indexes a table of its right-aligned decimal digits plus a
-    separator slot, and a matching mask drops the leading pad. Either way
-    the bytes are the plain decimal CSV that the ``csv`` module writes.
+    every value becomes a fixed-width byte string of its digits, padded
+    with zero bytes, whose last byte is its separator, and the zero bytes
+    are dropped. The strings are gathered from a table of every value below
+    ``max(cards)`` while that table has no more rows than a block has
+    values, and else made from the block's own values, so the memory is
+    bounded by the block. Either way the bytes are the plain decimal CSV
+    that the ``csv`` module writes.
+
+    A value of more than ``_MAX_DIGITS`` digits, which ``load_samples``
+    could not read back, raises InvalidSamplesError naming its column and
+    value before the file is opened.
     """
+    if max(samples.cards) > 10**_MAX_DIGITS and (tops := samples.rows.max(0, initial=0)).max() >= 10**_MAX_DIGITS:
+        raise InvalidSamplesError(f"sample value {tops.max()} of x{tops.argmax() + 1} has more than {_MAX_DIGITS} digits")
     with open(path, "wb") as f:
         f.write((",".join(f"x{i}" for i in range(1, samples.n + 1)) + "\n").encode())
         if max(samples.cards) <= 10:
@@ -345,19 +355,17 @@ def save_samples(samples: SampleMatrix, path) -> None:
                     np.add(block[:, j], _ZERO, out=pairs[:m, 2 * j])
                 f.write(pairs[:m])
             return
-        values = np.arange(max(samples.cards))
-        powers = 10 ** np.arange(len(str(values[-1])) - 1, -1, -1)
-        digits = np.zeros((values.size, powers.size + 1), dtype=np.uint8)
-        digits[:, :-1] = values[:, None] // powers % 10 + ord("0")
-        keep = np.ones(digits.shape, dtype=bool)
-        keep[:, :-1] = (values[:, None] >= powers) | (powers == 1)
+        width = len(str(max(samples.cards) - 1)) + 1  # the widest value's digits and a separator
+        fits = max(samples.cards) <= samples.rows[:_SAMPLE_CHUNK].size
+        table = np.arange(max(samples.cards) if fits else 0).astype(f"S{width}")
         for start in range(0, samples.l, _SAMPLE_CHUNK):
             block = samples.rows[start : start + _SAMPLE_CHUNK]
-            # np.take gathers table rows far faster than digits[block]
-            chars = np.take(digits, block, axis=0)
+            # np.take gathers far faster than table[block], and in C order
+            strings = np.take(table, block) if fits else block.astype(table.dtype, order="C")
+            chars = strings.view(np.uint8).reshape(*block.shape, width)
             chars[:, :, -1] = ord(",")
             chars[:, -1, -1] = ord("\n")
-            f.write(chars[np.take(keep, block, axis=0)].tobytes())
+            f.write(chars[chars != 0].tobytes())
 
 
 def _line_blocks(f):

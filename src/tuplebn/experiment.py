@@ -41,7 +41,7 @@ from .model import (
     factorized_joint,
     random_dag,
 )
-from .oracle import _fold_index, _scatter_fold, is_markov_relative
+from .oracle import _fold_index, _prefix_axes, _scatter_fold, is_markov_relative
 from .recovery import (
     _EPSILON_LIMIT,
     ModelViolationError,
@@ -219,9 +219,9 @@ def _cylinder_tables(freq, joint):
     set, as (counts, exact) pairs of a chunk of sets whose cells follow one
     another.
 
-    A set's prefix is ``joint.prefix(m)``, m its last position of
-    cardinality above 1, as in ``oracle.marginal``. The sets of one m are
-    read ``_FOLD_ENTRIES`` prefix entries at a time, or one at a time when
+    A set's prefix is ``joint.prefix(m)``, m and its kept axes as
+    ``oracle._prefix_axes`` gives them. The sets of one m are read
+    ``_FOLD_ENTRIES`` prefix entries at a time, or one at a time when
     their prefix is larger. The chunk's cell index is joined from the
     halves that ``_sweep_plan`` keeps for the grid's (cards, k)
     (``_chunk_index``); it then folds the chunk's prefix and its counts,
@@ -245,33 +245,29 @@ def _cylinder_tables(freq, joint):
 @lru_cache(maxsize=1)
 def _sweep_plan(cards, k):
     """The deviation sweep's sets over ``cards``, a tuple, at tuple size
-    ``k``: per m that has sets, in the sweep's order, m and the
-    ``_set_halves`` of the sets' kept axes, in combinations order.
+    ``k``: per m that has sets, in increasing order, m and the
+    ``_set_halves`` of the sets' kept axes, in combinations order. Each
+    set's m and kept axes are those ``oracle._prefix_axes`` gives
+    ``marginal``, so the sweep reads every table from the prefix that
+    ``marginal`` reads it from.
 
     The plan depends on (cards, k) alone, which every cell of a grid
     shares, so a grid builds it once and the cache holds that one plan.
     Its ids take a byte or two a set, and its half indexes, one row for
     each distinct half, about the square root of a prefix's entries each.
     """
-    n, plan = len(cards), []
-    for m in [0] + [p for p in range(1, n + 1) if cards[p - 1] > 1]:
-        # the sets of this m: m, if not 0, and the rest from the positions
-        # before it and the positions of cardinality 1 after it
-        last = (m,) if m else ()
-        pool = [p for p in range(1, n + 1) if p < m or p > m and cards[p - 1] == 1]
-        if len(pool) >= k - len(last):
-            kept = ([p - 1 for p in rest + last if p <= m] for rest in itertools.combinations(pool, k - len(last)))
-            plan.append((m, _set_halves(cards[:m], kept)))
-    return tuple(plan)
+    groups = {}
+    for m, kept in map(partial(_prefix_axes, cards), itertools.combinations(range(1, len(cards) + 1), k)):
+        groups.setdefault(m, []).append(kept)
+    return tuple((m, _set_halves(cards[:m], groups[m])) for m in sorted(groups))
 
 
 def _set_halves(cards, kept_sets):
     """The cell indexes of ``kept_sets``, one or more lists of increasing
-    axes of a prefix over ``cards``, split where ``oracle._fold_index``
-    splits them, at h = len(cards) // 2. Per half: the distinct
-    ``_fold_index`` vectors of the sets' kept axes in it, as the rows of
-    one array, their numbers of cells, and each set's row, in the smallest
-    unsigned type that holds it.
+    axes of a prefix over ``cards``, split at h = len(cards) // 2. Per
+    half: the distinct ``_fold_index`` vectors of the sets' kept axes in
+    it, as the rows of one array, their numbers of cells, and each set's
+    row, in the smallest unsigned type that holds it.
     """
     h = len(cards) // 2
     rows, ids = ({}, {}), ([], [])

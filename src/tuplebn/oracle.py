@@ -94,21 +94,33 @@ def marginal(joint: JointTable, positions) -> np.ndarray:
     """Read-only flat marginal over the sorted ``positions``: the joint
     summed over every other coordinate, in row-major order.
 
-    The positions after m, the last queried position of cardinality above
-    1, are summed by the joint's cached prefix over 1..m. The unqueried
-    positions before m are folded out by ``_scatter_fold``: each cell adds
-    its entries one by one, in the order of those positions'
-    configurations, without moving the prefix. Positions of cardinality 1
-    take no part: with them m could reach n, and a fold over the whole
-    joint adds in another order than the prefix sum.
+    The positions after m (``_prefix_axes``) are summed by the joint's
+    cached prefix over 1..m. The unqueried positions before m are folded
+    out by ``_scatter_fold``: each cell adds its entries one by one, in the
+    order of those positions' configurations, without moving the prefix.
     """
     pos = _check_positions(positions, joint.n)
-    m = max((p for p in pos if joint.cards[p - 1] > 1), default=0)
+    m, kept = _prefix_axes(joint.cards, pos)
     flat = joint.prefix(m)
     if any(a + 1 not in pos and joint.cards[a] > 1 for a in range(m)):
-        flat = _scatter_fold(flat, *_fold_index(joint.cards[:m], [p - 1 for p in pos if p <= m]))
+        flat = _scatter_fold(flat, *_fold_index(joint.cards[:m], kept))
         flat.flags.writeable = False
     return flat
+
+
+def _prefix_axes(cards, pos) -> tuple[int, list[int]]:
+    """The prefix that a table over the sorted positions ``pos`` reads: m,
+    the last of them of cardinality above 1 (0 when there is none), and
+    the axes of the prefix over 1..m that ``pos`` keeps, increasing.
+
+    Positions of cardinality 1 take no part in m: with them m could reach
+    n, and a fold over the whole joint adds in another order than the
+    prefix sum. ``marginal`` and the experiment's deviation sweep both read
+    their prefixes by this rule, so a set's table has the same bits in
+    either.
+    """
+    m = max((p for p in pos if cards[p - 1] > 1), default=0)
+    return m, [p - 1 for p in pos if p <= m]
 
 
 def _fold_index(cards, kept) -> tuple[np.ndarray, int]:

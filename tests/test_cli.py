@@ -280,6 +280,17 @@ def test_witness_roundtrip_and_exit(tmp_path, capsys):
     assert data["witness"]["l_points"] == 2 and data["verification"]["ok"] is True
 
 
+def test_witness_exits_1_naming_the_subset_where_verification_fails(tmp_path, capsys, monkeypatch):
+    failed = tuplebn.vcbounds.VerifyResult(ok=False, certificates=(), failing_subset=(0, 1))
+    monkeypatch.setattr(cli, "verify_shattered", lambda witness: failed)
+    out = tmp_path / "wit.json"
+    assert run(["witness", "--n", "6", "--k", "2", "--output", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "points=2 subsets=4 shattered=false\n"
+    assert captured.err == "verification failed at subset [0, 1]\n"
+    assert json.loads(out.read_text())["verification"]["failing_subset"] == [0, 1]
+
+
 def test_witness_value_pairs_option(tmp_path, capsys):
     out = tmp_path / "wit.json"
     assert run(["witness", "--n", "3", "--k", "2", "--value-pairs", "0:2,1:0,5:7", "--output", str(out)]) == EXIT_OK

@@ -298,6 +298,12 @@ def csv_writer_bytes(samples, path):
         *(((10, 2, 1, 7), l) for l in (0, 1, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, _SAMPLE_CHUNK + 1)),
         ((10,), _SAMPLE_CHUNK + 1),
         ((11, 3), 100),
+        # a table of the values below max(cards) as long as a block's 24
+        # values, and one value longer, formatted from the block itself
+        ((5, 24), 12),
+        ((5, 25), 12),
+        ((3, 2**40, 2), 50),
+        ((10**18,), 20),
     ],
     ids=[
         "widths-1-to-3",
@@ -306,6 +312,10 @@ def csv_writer_bytes(samples, path):
         *(f"one-digit-l{l}" for l in ("0", "1", "chunk-1", "chunk", "chunk+1")),
         "one-digit-one-column",
         "one-two-digit-value",
+        "table-of-a-block",
+        "table-longer-than-a-block",
+        "13-digit-values",
+        "18-digit-values",
     ],
 )
 def test_save_samples_matches_csv_writer(tmp_path, cards, l):
@@ -317,6 +327,38 @@ def test_save_samples_matches_csv_writer(tmp_path, cards, l):
     save_samples(s, path)
     assert path.read_bytes() == csv_writer_bytes(s, tmp_path / "ref.csv")
     assert load_samples(path, cards=cards) == s
+
+
+def test_save_samples_round_trips_a_value_above_2_to_the_32(tmp_path):
+    s = SampleMatrix((3, 2**40, 2), [[0, 5_000_000_000, 1], [1, 4_999_999_999, 0], [2, 7, 1]])
+    path = tmp_path / "rows.csv"
+    save_samples(s, path)
+    assert path.read_bytes() == b"x1,x2,x3\n0,5000000000,1\n1,4999999999,0\n2,7,1\n"
+    assert load_samples(path, cards=s.cards) == s
+
+
+def test_save_samples_memory_is_bounded_by_the_block_not_the_cards(tmp_path):
+    # a table of every value below max(cards) would take over 100 MiB
+    s = SampleMatrix((2, 10**6 + 1), [[0, 10**6], [1, 7]])
+    path = tmp_path / "rows.csv"
+    tracemalloc.start()
+    try:
+        save_samples(s, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == b"x1,x2\n0,1000000\n1,7\n"
+    assert peak < 1 << 20, peak
+
+
+def test_save_samples_refuses_a_value_of_more_than_18_digits(tmp_path):
+    # load_samples reads at most 18 digits a field, so the file could not
+    # be read back; the refusal comes before the file is opened
+    s = SampleMatrix((2, 2**64), [[0, 10**18 - 1], [1, 10**18]])
+    path = tmp_path / "rows.csv"
+    with pytest.raises(InvalidSamplesError, match=r"^sample value 1000000000000000000 of x2 has more than 18 digits$"):
+        save_samples(s, path)
+    assert not path.exists()
 
 
 def test_load_samples_infers_cards(tmp_path):

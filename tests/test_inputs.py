@@ -1,7 +1,8 @@
 """One check per input field, made by the constructor that the JSON loader
 calls: each bad value below is refused with the same exception and the same
 message, naming the field, whether it comes from a file or straight from
-Python."""
+Python. Inputs whose fields are well formed but do not fit together are
+refused with a message that names what does not fit."""
 
 import json
 import math
@@ -10,7 +11,21 @@ import re
 import numpy as np
 import pytest
 
-from tuplebn import DiscreteDag, ExperimentConfig, InvalidDagError, dag_from_dict, dag_to_dict, load_config, load_dag
+from tuplebn import (
+    DiscreteDag,
+    ExperimentConfig,
+    InvalidDagError,
+    InvalidSamplesError,
+    JointTable,
+    SampleMatrix,
+    dag_from_dict,
+    dag_to_dict,
+    factorized_joint,
+    is_markov_relative,
+    load_config,
+    load_dag,
+    random_dag,
+)
 
 # 5 stands where a list is due; the others where an integer is due
 BAD_INTEGERS = (1.5, 2.0, True, "2", None)
@@ -118,3 +133,48 @@ def test_loaders_name_a_file_that_is_not_json(tmp_path, load, content):
     path.write_bytes(content)
     with pytest.raises(ValueError, match=f"^JSON file {re.escape(str(path))}: "):
         load(path)
+
+
+CONFIG = {
+    "n": 3, "delta": 1, "cards": [2, 2, 2], "sample_sizes": [100], "epsilon": 0.1, "delta_risk": 0.05,
+    "trials": 1, "seed": 0, "output_dir": "out",
+}
+CHAIN = random_dag(3, 1, 2, seed=0)
+
+
+def without(data, key):
+    return {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SampleMatrix((2, 2), np.zeros((3, 3), dtype=np.int64)), InvalidSamplesError,
+     "rows must be (l, 2), got (3, 3)"),
+    (lambda: SampleMatrix((2, 2), np.zeros(3, dtype=np.int64)), InvalidSamplesError,
+     "rows must be (l, 2), got (3,)"),
+    (lambda: ExperimentConfig.from_dict(without(CONFIG, "seed")), ValueError, "missing config keys: ['seed']"),
+    (lambda: ExperimentConfig.from_dict({**CONFIG, "d": 2}), ValueError, 'exactly one of "cards" or "d" is required'),
+    (lambda: ExperimentConfig.from_dict(without(CONFIG, "cards")), ValueError,
+     'exactly one of "cards" or "d" is required'),
+    (lambda: JointTable((2, 2), [0.5, 0.5]), ValueError, "probs has 2 entries, expected 4"),
+    (lambda: DiscreteDag(0, (), 1, (), []), InvalidDagError, "invalid DAG: variable count must be >= 1 (n=0)"),
+    (lambda: DiscreteDag(1, (2,), -1, ((),), [np.full((1, 2), 0.5)]), InvalidDagError,
+     "invalid DAG: in-degree bound must be >= 0 (delta=-1); node 1: in-degree exceeds bound (|parents|=0 > delta=-1)"),
+    (lambda: DiscreteDag(3, CHAIN.cards, 1, CHAIN.parents[:2], CHAIN.cpts), InvalidDagError,
+     "invalid DAG: parents/cpts length mismatch (parents=2, cpts=3, n=3)"),
+    (lambda: DiscreteDag(3, CHAIN.cards, 1, CHAIN.parents, CHAIN.cpts[:2]), InvalidDagError,
+     "invalid DAG: parents/cpts length mismatch (parents=3, cpts=2, n=3)"),
+    (lambda: random_dag(3, 1, (2, 2), seed=0), ValueError, "cards must be 3 integers >= 1, got (2, 2)"),
+    (lambda: dag_from_dict(without(dag_to_dict(CHAIN), "cpts")), ValueError, "DAG file missing fields: ['cpts']"),
+    (lambda: is_markov_relative(factorized_joint(CHAIN), random_dag(3, 1, (2, 3, 2), seed=0)), ValueError,
+     "shape mismatch: dag cards (2, 3, 2) vs joint cards (2, 2, 2)"),
+], ids=[
+    "samples-rows-of-3-columns", "samples-rows-of-1-dimension", "config-missing-key", "config-cards-and-d",
+    "config-neither-cards-nor-d", "joint-entry-count", "dag-no-variables", "dag-negative-delta",
+    "dag-parents-count", "dag-cpts-count", "random-dag-cards-length", "dag-file-missing-field",
+    "markov-check-cards",
+])
+def test_inputs_that_do_not_fit_together_are_refused_by_name(call, error, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message

@@ -441,6 +441,7 @@ def test_witness_rejects_bad_domain():
     (lambda: required_sample_size(8, 3, 2, 0.1, True), "delta_risk: expected a number, got True"),
     (lambda: vc_upper_bound(4, 2, 2, tight="no"), "tight must be a bool, got 'no'"),
     (lambda: vc_upper_bound(4, 2, 2, tight=1), "tight must be a bool, got 1"),
+    (lambda: vc_upper_bound(1, 1, 1), "need n*d >= 2, got n=1, d=1"),
 ])
 def test_bounds_refuse_non_integer_sizes_by_name(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
