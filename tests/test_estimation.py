@@ -299,7 +299,8 @@ def csv_writer_bytes(samples, path):
         ((10,), _SAMPLE_CHUNK + 1),
         ((11, 3), 100),
         # a table of the values below max(cards) as long as a block's 24
-        # values, and one value longer, formatted from the block itself
+        # values; then one value longer, and values of 13 and 18 digits,
+        # formatted from the block itself
         ((5, 24), 12),
         ((5, 25), 12),
         ((3, 2**40, 2), 50),
